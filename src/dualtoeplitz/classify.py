@@ -171,7 +171,8 @@ def numeric_certificate(
     if order_limit < 1:
         raise ValueError("order limit must be >= 1")
     for order in range(1, order_limit + 1):
-        a = selfcomm_form_matrix(phi, order)
+        basis = build_basis(order)
+        a = selfcomm_form_matrix(phi, basis)
         location = a.first_nonzero()
         if location is None:
             continue
@@ -180,7 +181,6 @@ def numeric_certificate(
             raise RuntimeError(
                 "nonzero trace-free Hermitian matrix reported PSD; this is a bug"
             )
-        basis = build_basis(order)
         witness = Element.zero()
         for coord, vec in zip(result.witness, basis.vectors):
             if not coord.is_zero:

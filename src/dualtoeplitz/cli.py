@@ -37,8 +37,7 @@ from .classify import (
 from .engine import (
     apply,
     build_basis,
-    commutator_matrix,
-    commutator_range_gram,
+    commutator_matrices,
     selfcomm_form_matrix,
 )
 from .linalg import HermitianForm, is_antisymmetric, psd_test, rank
@@ -136,7 +135,7 @@ def _cmd_matrix(args) -> tuple[str, int]:
     if args.kind == "selfcomm":
         if args.symbol2 is not None:
             raise UsageError("selfcomm takes a single symbol")
-        a = selfcomm_form_matrix(phi, args.N)
+        a = selfcomm_form_matrix(phi, basis)
         diagnostics = {
             "backend": BACKEND_NAME,
             "hermitian": True,
@@ -148,14 +147,14 @@ def _cmd_matrix(args) -> tuple[str, int]:
         if args.symbol2 is None:
             raise UsageError("commutator kind needs --symbol2")
         psi = _parse(args.symbol2)
-        a = commutator_matrix(phi, psi, args.N)
+        a, gram = commutator_matrices(phi, psi, basis)
         r = rank(a)
         diagnostics = {
             "backend": BACKEND_NAME,
             "swap_antisymmetric": is_antisymmetric(a.permute_rows(basis.swap)),
             "rank": r,
             "rank_even": r % 2 == 0,
-            "gram_rank": rank(commutator_range_gram(phi, psi, args.N)),
+            "gram_rank": rank(gram),
         }
         inputs = {
             "kind": args.kind,
@@ -197,13 +196,8 @@ def _cmd_rank(args) -> tuple[str, int]:
     else:
         psi = _parse(args.symbol2)
         for order in range(1, args.n_max + 1):
-            table.append(
-                {
-                    "N": order,
-                    "rank": rank(commutator_matrix(phi, psi, order)),
-                    "gram_rank": rank(commutator_range_gram(phi, psi, order)),
-                }
-            )
+            b, gram = commutator_matrices(phi, psi, order)
+            table.append({"N": order, "rank": rank(b), "gram_rank": rank(gram)})
         inputs = {
             "symbol": args.symbol,
             "symbol2": args.symbol2,

@@ -2,8 +2,9 @@
 
 PSD decisions run a symmetric-pivoted LDL^T elimination on the realified form
 and, when the form is indefinite, reconstruct an exact rational witness vector
-by back substitution; ranks come from fraction-free (Bareiss) elimination.
-No floating point anywhere.
+by back substitution.  A rank splits the matrix into the connected blocks of
+its nonzero pattern and sums their ranks, each found by fraction-free
+(Bareiss) elimination.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -178,20 +179,52 @@ def _indefinite(
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank by fraction-free Gaussian elimination.
+    """Exact rank: the sum of the ranks of the connected blocks of m."""
+    return sum(
+        _bareiss_rank([[m.data[i][j] for j in cols] for i in rows])
+        for rows, cols in _blocks(m)
+    )
+
+
+def _blocks(m: ExactMatrix) -> list[tuple[list[int], list[int]]]:
+    """Row and column indices of the connected components of the graph that
+    joins row i to column j whenever m[i][j] is nonzero.  Up to a permutation
+    of rows and of columns, m is block diagonal with these blocks; zero rows
+    and zero columns belong to none."""
+    parent = list(range(m.rows + m.cols))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, row in enumerate(m.data):
+        for j, c in enumerate(row):
+            if not c.is_zero:
+                parent[find(i)] = find(m.rows + j)
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for j in range(m.cols):
+        blocks.setdefault(find(m.rows + j), ([], []))[1].append(j)
+    for i in range(m.rows):
+        block = blocks.get(find(i))
+        if block is not None:
+            block[0].append(i)
+    return [block for block in blocks.values() if block[0]]
+
+
+def _bareiss_rank(data: list[list[GaussianRational]]) -> int:
+    """Rank of a nonempty dense block by fraction-free Gaussian elimination.
 
     Rows are scaled to Gaussian-integer entries first, so every division in
     the Bareiss update is exact.
     """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    data = []
-    for row in m.data:
+    for k, row in enumerate(data):
         scale = 1
         for c in row:
             scale = lcm(scale, c.den)
-        data.append([c._mul_int_ratio(scale, 1) for c in row])
-    rows, cols = m.rows, m.cols
+        data[k] = [c._mul_int_ratio(scale, 1) for c in row]
+    rows, cols = len(data), len(data[0])
     prev = _ONE
     r = 0
     for col in range(cols):

@@ -67,9 +67,6 @@ class ExactMatrix:
             ]
         )
 
-    def neg(self) -> "ExactMatrix":
-        return ExactMatrix([[-c for c in row] for row in self.data])
-
     def permute_rows(self, perm: list[int]) -> "ExactMatrix":
         """Row i of the result is row perm[i] of the input."""
         if sorted(perm) != list(range(self.rows)):

@@ -38,8 +38,7 @@ from .classify import (
 from .engine import (
     apply,
     build_basis,
-    commutator_matrix,
-    commutator_range_gram,
+    commutator_matrices,
     q_value,
     selfcomm_form_matrix,
     test_vector,
@@ -409,8 +408,9 @@ def _suite_commutator(n_max: int | None = None) -> SuiteReport:
         for N, expected in zip(COMMUTATOR_ORDERS, expected_ranks):
             if N not in orders:
                 continue
-            matrix = commutator_matrix(phi, psi, N)
-            swapped = matrix.permute_rows(build_basis(N).swap)
+            basis = build_basis(N)
+            matrix, gram = commutator_matrices(phi, psi, basis)
+            swapped = matrix.permute_rows(basis.swap)
             report.check(
                 is_antisymmetric(swapped),
                 f"[{phi_text}, {psi_text}] at order {N}: "
@@ -426,7 +426,7 @@ def _suite_commutator(n_max: int | None = None) -> SuiteReport:
                 f"[{phi_text}, {psi_text}] at order {N}: rank {r}, "
                 f"expected {expected}",
             )
-            g = rank(commutator_range_gram(phi, psi, N))
+            g = rank(gram)
             report.check(
                 g == expected,
                 f"[{phi_text}, {psi_text}] at order {N}: range-Gram rank {g}, "

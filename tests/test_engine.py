@@ -15,6 +15,7 @@ from dualtoeplitz import (
     apply,
     build_basis,
     closed_form_apply,
+    commutator_matrices,
     commutator_matrix,
     commutator_range_gram,
     complement_project,
@@ -25,6 +26,7 @@ from dualtoeplitz import (
     q_value,
     selfcomm_form_matrix,
 )
+from dualtoeplitz import ExactMatrix
 from dualtoeplitz import test_vector as probe_vector
 
 rationals = st.fractions(
@@ -254,6 +256,58 @@ class TestFormMatrices:
             build_basis(0)
         with pytest.raises(ValueError):
             selfcomm_form_matrix(Element.monomial(1, 1), 0)
+
+
+symbols = st.builds(
+    lambda terms, constant: Element(terms) + Element.monomial(0, 0, constant),
+    st.lists(st.tuples(st.tuples(exponents, exponents), scalars), max_size=3),
+    st.one_of(st.just(GaussianRational(0)), scalars),
+)
+orders = st.integers(min_value=1, max_value=5)
+
+
+class TestGradedAssembly:
+    """The builders skip the entries the frequency rule proves zero; every
+    entry must still equal the one computed over all index pairs."""
+
+    @staticmethod
+    def _check(phi, psi, order):
+        basis = build_basis(order)
+        size = len(basis)
+        bar = adjoint_symbol(phi)
+        u = [apply(phi, e) for e in basis.vectors]
+        v = [apply(bar, e) for e in basis.vectors]
+        w = [
+            apply(phi, apply(psi, e)) - apply(psi, apply(phi, e))
+            for e in basis.vectors
+        ]
+        form = ExactMatrix.build(
+            size,
+            size,
+            lambda i, j: inner_product(u[j], u[i]) - inner_product(v[j], v[i]),
+        )
+        pairing = ExactMatrix.build(
+            size, size, lambda i, j: inner_product(w[j], basis.vectors[i])
+        )
+        gram = ExactMatrix.build(size, size, lambda i, j: inner_product(w[j], w[i]))
+        assert selfcomm_form_matrix(phi, order) == form
+        assert selfcomm_form_matrix(phi, basis) == form
+        assert commutator_matrix(phi, psi, order) == pairing
+        assert commutator_range_gram(phi, psi, order) == gram
+        assert commutator_matrices(phi, psi, basis) == (pairing, gram)
+
+    @HYP
+    @given(symbols, symbols, orders)
+    def test_matches_all_pairs(self, phi, psi, order):
+        self._check(phi, psi, order)
+
+    def test_mixed_frequencies_with_constant(self):
+        # frequencies {0, 1, -2} and {1, 0}
+        phi = Element.monomial(0, 0, 2) + Element.monomial(1, 0) + Element.monomial(
+            0, 2, GaussianRational(0, 1)
+        )
+        psi = Element.monomial(2, 1) + Element.monomial(0, 0, Fraction(-1, 3))
+        self._check(phi, psi, 3)
 
 
 class TestCommutatorParity:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualtoeplitz import (
     ExactMatrix,
@@ -268,6 +270,54 @@ class TestRank:
         rows = a.copy_data() + [list(a.copy_data()[0])]
         b = ExactMatrix(rows)
         assert rank(b) == rank(a)
+
+
+small = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4)
+entries = st.one_of(st.just(gr(0)), st.builds(gr, small, small))
+
+
+@st.composite
+def planted_blocks(draw):
+    """Dense blocks on the diagonal, some of rank one, plus zero rows and
+    columns, under random row and column permutations."""
+    shapes = draw(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=4)
+    )
+    rows = sum(r for r, _ in shapes) + draw(st.integers(0, 2))
+    cols = sum(c for _, c in shapes) + draw(st.integers(0, 2))
+    grid = [[gr(0)] * cols for _ in range(rows)]
+    top = left = 0
+    for r, c in shapes:
+        if draw(st.booleans()):
+            u = draw(st.lists(entries, min_size=r, max_size=r))
+            v = draw(st.lists(entries, min_size=c, max_size=c))
+            block = [[x * y for y in v] for x in u]
+        else:
+            block = [draw(st.lists(entries, min_size=c, max_size=c)) for _ in range(r)]
+        for i in range(r):
+            grid[top + i][left : left + c] = block[i]
+        top, left = top + r, left + c
+    row_order = draw(st.permutations(range(rows)))
+    col_order = draw(st.permutations(range(cols)))
+    return ExactMatrix([[grid[i][j] for j in col_order] for i in row_order])
+
+
+class TestBlockRank:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(planted_blocks())
+    def test_matches_bruteforce_oracle(self, a):
+        assert rank(a) == bruteforce_rank(matrix_to_pairs(a))
+
+    def test_empty_and_zero_shapes(self):
+        assert rank(ExactMatrix([])) == 0
+        assert rank(ExactMatrix([[], []])) == 0
+        assert rank(ExactMatrix.zeros(1, 4)) == 0
+
+    def test_non_symmetric_pattern(self):
+        # row i meets only column i + 1: one 1x1 block per nonzero entry
+        a = matrix([[0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3], [0, 0, 0, 0]])
+        assert rank(a) == 3
+        assert rank(a.transpose()) == 3
 
 
 class TestAntisymmetric:
