@@ -343,24 +343,3 @@ def terms_complement(dict f):
 def terms_apply(dict phi, dict f):
     """Dual Toeplitz action on term maps: complement projection of phi*f."""
     return terms_complement(terms_product(phi, f))
-
-
-# ---------------------------------------------------------------------------
-# row kernels for exact elimination
-
-
-def row_submul(list target, list source, c, Py_ssize_t lo, Py_ssize_t hi):
-    """target[j] -= c * source[j] for lo <= j < hi, skipping zero sources."""
-    cdef Py_ssize_t j
-    cdef GaussianRational s
-    for j in range(lo, hi):
-        s = <GaussianRational> source[j]
-        if not (s._a == 0 and s._b == 0):
-            target[j] = target[j] - c * s
-
-
-def bareiss_row(list row_i, list row_k, piv, aik, prev, Py_ssize_t lo, Py_ssize_t hi):
-    """One fraction-free elimination update: row_i[j] = (piv*row_i[j] - aik*row_k[j]) / prev."""
-    cdef Py_ssize_t j
-    for j in range(lo, hi):
-        row_i[j] = (piv * row_i[j] - aik * row_k[j]) / prev

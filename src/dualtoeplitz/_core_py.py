@@ -317,21 +317,3 @@ def terms_complement(f: dict) -> dict:
 def terms_apply(phi: dict, f: dict) -> dict:
     """Dual Toeplitz action on term maps: complement projection of phi*f."""
     return terms_complement(terms_product(phi, f))
-
-
-# ---------------------------------------------------------------------------
-# row kernels for exact elimination
-
-
-def row_submul(target: list, source: list, c: GaussianRational, lo: int, hi: int):
-    """target[j] -= c * source[j] for lo <= j < hi, skipping zero sources."""
-    for j in range(lo, hi):
-        s = source[j]
-        if not (s._a == 0 and s._b == 0):
-            target[j] = target[j] - c * s
-
-
-def bareiss_row(row_i: list, row_k: list, piv, aik, prev, lo: int, hi: int):
-    """One fraction-free elimination update: row_i[j] = (piv*row_i[j] - aik*row_k[j]) / prev."""
-    for j in range(lo, hi):
-        row_i[j] = (piv * row_i[j] - aik * row_k[j]) / prev

@@ -4,7 +4,11 @@ PSD decisions run a symmetric-pivoted LDL^T elimination on the realified form
 and, when the form is indefinite, reconstruct an exact rational witness vector
 by back substitution.  A rank splits the matrix into the connected blocks of
 its nonzero pattern and sums their ranks, each found by fraction-free
-(Bareiss) elimination.  No floating point anywhere.
+(Bareiss) elimination on plain Python ints: every row is scaled to Gaussian
+integers, kept as a pair of int lists (real and imaginary parts), and each
+Bareiss division by the previous pivot is exact by Sylvester's identity and
+checked, so a kernel bug raises instead of giving a wrong rank.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -216,34 +220,68 @@ def _blocks(m: ExactMatrix) -> list[tuple[list[int], list[int]]]:
 def _bareiss_rank(data: list[list[GaussianRational]]) -> int:
     """Rank of a nonempty dense block by fraction-free Gaussian elimination.
 
-    Rows are scaled to Gaussian-integer entries first, so every division in
-    the Bareiss update is exact.
+    Each row is scaled by the lcm of its denominators, which leaves the rank
+    unchanged and makes every entry a Gaussian integer x + iy, kept as two
+    plain ints in a real list and an imaginary list.  The Bareiss update
+    y <- (pivot*y - s*x) / prev then stays in the Gaussian integers: every
+    intermediate entry is a minor of the scaled block (Sylvester's identity),
+    so the division by the previous pivot is exact.  It is done as
+    t * conj(prev) divided by |prev|^2 in both parts, or directly by prev when
+    prev is real (as the leading minors of a Hermitian form are), and a
+    nonzero remainder raises instead of yielding a wrong rank.
     """
-    for k, row in enumerate(data):
+    re_rows: list[list[int]] = []
+    im_rows: list[list[int]] = []
+    for row in data:
         scale = 1
         for c in row:
             scale = lcm(scale, c.den)
-        data[k] = [c._mul_int_ratio(scale, 1) for c in row]
-    rows, cols = len(data), len(data[0])
-    prev = _ONE
+        re_rows.append([c.num_re * (scale // c.den) for c in row])
+        im_rows.append([c.num_im * (scale // c.den) for c in row])
+    rows, cols = len(re_rows), len(re_rows[0])
+    prev_re, prev_im, norm = 1, 0, 1
     r = 0
     for col in range(cols):
         if r == rows:
             break
         piv_row = None
         for i in range(r, rows):
-            if not data[i][col].is_zero:
+            if re_rows[i][col] or im_rows[i][col]:
                 piv_row = i
                 break
         if piv_row is None:
             continue
         if piv_row != r:
-            data[r], data[piv_row] = data[piv_row], data[r]
-        pivot = data[r][col]
+            re_rows[r], re_rows[piv_row] = re_rows[piv_row], re_rows[r]
+            im_rows[r], im_rows[piv_row] = im_rows[piv_row], im_rows[r]
+        x_re, x_im = re_rows[r], im_rows[r]
+        p_re, p_im = x_re[col], x_im[col]
         for i in range(r + 1, rows):
-            kernel.bareiss_row(data[i], data[r], pivot, data[i][col], prev, col + 1, cols)
-            data[i][col] = _ZERO
-        prev = pivot
+            y_re, y_im = re_rows[i], im_rows[i]
+            s_re, s_im = y_re[col], y_im[col]
+            for j in range(col + 1, cols):
+                a, b = y_re[j], y_im[j]
+                c, d = x_re[j], x_im[j]
+                t_re = p_re * a - p_im * b - s_re * c + s_im * d
+                t_im = p_re * b + p_im * a - s_re * d - s_im * c
+                if t_re or t_im:
+                    if prev_im:
+                        t_re, t_im = (
+                            t_re * prev_re + t_im * prev_im,
+                            t_im * prev_re - t_re * prev_im,
+                        )
+                    q_re, rem_re = divmod(t_re, norm)
+                    q_im, rem_im = divmod(t_im, norm)
+                    if rem_re or rem_im:
+                        raise ArithmeticError(
+                            "inexact Bareiss division in rank; this is a bug"
+                        )
+                    y_re[j], y_im[j] = q_re, q_im
+                else:
+                    y_re[j] = y_im[j] = 0
+            y_re[col] = y_im[col] = 0
+        prev_re, prev_im = p_re, p_im
+        norm = p_re * p_re + p_im * p_im if p_im else p_re
         r += 1
     return r
 

@@ -198,46 +198,6 @@ class TestTermKernelParity:
             assert kernel.terms_complement({(0, 2): one}) == {}
 
 
-@pytest.mark.parametrize("pair", PAIRED)
-class TestRowKernelParity:
-    @staticmethod
-    def _rows(kernel, rng, n):
-        return [
-            [
-                kernel.GaussianRational(
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
-                )
-                for _ in range(n)
-            ]
-            for _ in range(2)
-        ]
-
-    def test_row_submul(self, pair):
-        py, cy = pair
-        tgt_py, src_py = self._rows(py, random.Random(7200), 6)
-        tgt_cy, src_cy = self._rows(cy, random.Random(7200), 6)
-        c_py = py.GaussianRational(Fraction(3, 2), Fraction(-1, 4))
-        c_cy = cy.GaussianRational(Fraction(3, 2), Fraction(-1, 4))
-        py.row_submul(tgt_py, src_py, c_py, 1, 5)
-        cy.row_submul(tgt_cy, src_cy, c_cy, 1, 5)
-        assert [triple(x) for x in tgt_py] == [triple(x) for x in tgt_cy]
-
-    def test_bareiss_row(self, pair):
-        py, cy = pair
-        # integer-entry rows so the fraction-free division is exact
-        rng_a, rng_b = random.Random(7201), random.Random(7201)
-        row_i_py = [py.GaussianRational(rng_a.randint(-9, 9)) for _ in range(6)]
-        row_k_py = [py.GaussianRational(rng_a.randint(-9, 9)) for _ in range(6)]
-        row_i_cy = [cy.GaussianRational(rng_b.randint(-9, 9)) for _ in range(6)]
-        row_k_cy = [cy.GaussianRational(rng_b.randint(-9, 9)) for _ in range(6)]
-        piv_py, aik_py = py.GaussianRational(3), py.GaussianRational(2)
-        piv_cy, aik_cy = cy.GaussianRational(3), cy.GaussianRational(2)
-        py.bareiss_row(row_i_py, row_k_py, piv_py, aik_py, py.GR_ONE, 1, 6)
-        cy.bareiss_row(row_i_cy, row_k_cy, piv_cy, aik_cy, cy.GR_ONE, 1, 6)
-        assert [triple(x) for x in row_i_py] == [triple(x) for x in row_i_cy]
-
-
 class TestBackendSelection:
     def test_names(self):
         assert _core_py.BACKEND == "python"

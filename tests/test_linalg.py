@@ -12,11 +12,14 @@ from dualtoeplitz import (
     ExactMatrix,
     GaussianRational,
     HermitianForm,
+    commutator_matrices,
     form_value,
     is_antisymmetric,
+    parse_symbol,
     psd_test,
     rank,
     realify,
+    selfcomm_form_matrix,
 )
 
 from oracle_rank import bruteforce_rank, matrix_to_pairs
@@ -318,6 +321,75 @@ class TestBlockRank:
         a = matrix([[0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3], [0, 0, 0, 0]])
         assert rank(a) == 3
         assert rank(a.transpose()) == 3
+
+
+big_fractions = st.builds(
+    Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)
+)
+complex_entries = st.builds(gr, big_fractions, big_fractions)
+real_entries = st.builds(gr, big_fractions)
+imaginary_entries = st.builds(lambda y: gr(0, y), big_fractions)
+
+
+@st.composite
+def deep_products(draw):
+    """One dense n x m block U V with U n x k and V k x m, k >= 3, entries
+    with denominators up to 10^6.  Optionally U's first row is purely
+    imaginary and V's first column real, so the first pivot is purely
+    imaginary and the next Bareiss division is by a non-real number."""
+    n, m = draw(st.integers(5, 9)), draw(st.integers(5, 9))
+    k = draw(st.integers(3, min(n, m)))
+    imaginary_pivot = draw(st.booleans())
+    first_row = imaginary_entries if imaginary_pivot else complex_entries
+    first_col = real_entries if imaginary_pivot else complex_entries
+    u = [
+        [draw(first_row if i == 0 else complex_entries) for _ in range(k)]
+        for i in range(n)
+    ]
+    v = [
+        [draw(first_col if j == 0 else complex_entries) for j in range(m)]
+        for _ in range(k)
+    ]
+    return ExactMatrix(
+        [
+            [sum((u[i][t] * v[t][j] for t in range(k)), start=gr(0)) for j in range(m)]
+            for i in range(n)
+        ]
+    )
+
+
+class TestDeepRank:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(deep_products())
+    def test_matches_bruteforce_oracle(self, a):
+        assert rank(a) == bruteforce_rank(matrix_to_pairs(a))
+
+
+# the dense-elim benchmark's multi-frequency symbols: Pythagorean-triple
+# coefficients, so the form entries carry denominators of about 38 bits
+WIDE = "(-12/13+5/13i) zb^2 + (3/5-4/5i) z + (15/17+8/17i) z^3 zb"
+THREE = "(4/5-3/5i) z^2 zb + (-5/13-12/13i) z^3"
+MIXED = (
+    "(15/17+8/17i) z^2 zb + (-24/25+7/25i) z^3",
+    "(3/5-4/5i) zb^2 + (21/29-20/29i) z",
+)
+
+
+class TestEngineMatrixRank:
+    @pytest.mark.parametrize("text", [WIDE, THREE], ids=["wide", "three"])
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_selfcomm_form(self, text, order):
+        m = selfcomm_form_matrix(parse_symbol(text), order)
+        assert rank(m) == bruteforce_rank(matrix_to_pairs(m))
+
+    @pytest.mark.parametrize(
+        "pair", [(WIDE, THREE), MIXED], ids=["wide-three", "mixed"]
+    )
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_commutator_matrices(self, pair, order):
+        phi, psi = (parse_symbol(text) for text in pair)
+        for m in commutator_matrices(phi, psi, order):
+            assert rank(m) == bruteforce_rank(matrix_to_pairs(m))
 
 
 class TestAntisymmetric:
