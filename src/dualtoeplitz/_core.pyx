@@ -12,7 +12,7 @@ removes interpreter overhead from the hot loops.
 import cython
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 BACKEND = "compiled"
 
@@ -295,17 +295,48 @@ def terms_product(dict f, dict g):
 
 
 def terms_inner(dict f, dict g):
-    cdef GaussianRational s = GR_ZERO
-    cdef GaussianRational t
-    cdef long n, m, k, l, diff
+    """<f, g>: the sum of cf * conj(cg) * 2/(n+m+k+l+2) over same-frequency pairs.
+
+    g's terms are indexed once by frequency k - l, so each term of f meets only
+    the terms it pairs with.  Each product (a + bi)(c - ei) / (df dg (n+m+k+l+2))
+    is accumulated as two int numerators grouped by that denominator; the
+    groups are brought to their lcm and the sum is normalized once.  The
+    normalized triple is unique, so the result is the same as summing scalars.
+    """
+    cdef dict by_frequency = {}
+    cdef dict groups = {}
+    cdef GaussianRational cf, cg
+    cdef long n, m, k, l, degree
+    for (k, l), cg in g.items():
+        row = by_frequency.get(k - l)
+        if row is None:
+            row = by_frequency[k - l] = []
+        row.append((k + l + 2, cg._a, cg._b, cg._d))
     for (n, m), cf in f.items():
-        diff = n - m
-        for (k, l), cg in g.items():
-            if k - l != diff:
-                continue
-            t = (<GaussianRational> cf) * (<GaussianRational> cg).conjugate()
-            s = s + t._mul_int_ratio(2, n + m + k + l + 2)
-    return s
+        row = by_frequency.get(n - m)
+        if row is None:
+            continue
+        a, b, d = cf._a, cf._b, cf._d
+        degree = n + m
+        for weight, c, e, dg in row:
+            x = a * c + b * e
+            y = b * c - a * e
+            den = d * dg * (degree + weight)
+            acc = groups.get(den)
+            if acc is None:
+                groups[den] = [x, y]
+            else:
+                acc[0] += x
+                acc[1] += y
+    den = lcm(*groups)
+    re = im = 0
+    for key, (x, y) in groups.items():
+        scale = den // key
+        re += x * scale
+        im += y * scale
+    if re == 0 and im == 0:
+        return GR_ZERO
+    return _norm(2 * re, 2 * im, den)
 
 
 def terms_complement(dict f):

@@ -13,12 +13,17 @@ exponent pairs (n, m), i.e. the monomial z^n * conj(z)^m, to nonzero scalars.
 The inner product on the unit disk with normalized area measure is
 
     <z^n conj(z)^m, z^k conj(z)^l> = 2/(n+m+k+l+2)  if n - m == k - l, else 0.
+
+terms_inner indexes the second map by that frequency n - m, so only pairs of
+equal frequency meet, and it sums their products in plain ints grouped by
+denominator, building one scalar (one gcd) per inner product instead of
+several per term pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 BACKEND = "python"
 
@@ -275,14 +280,46 @@ def terms_product(f: dict, g: dict) -> dict:
 
 
 def terms_inner(f: dict, g: dict) -> GaussianRational:
-    s = GR_ZERO
+    """<f, g>: the sum of cf * conj(cg) * 2/(n+m+k+l+2) over same-frequency pairs.
+
+    g's terms are indexed once by frequency k - l, so each term of f meets only
+    the terms it pairs with.  Each product (a + bi)(c - ei) / (df dg (n+m+k+l+2))
+    is accumulated as two int numerators grouped by that denominator; the
+    groups are brought to their lcm and the sum is normalized once.  The
+    normalized triple is unique, so the result is the same as summing scalars.
+    """
+    by_frequency: dict = {}
+    for (k, l), cg in g.items():
+        row = by_frequency.get(k - l)
+        if row is None:
+            row = by_frequency[k - l] = []
+        row.append((k + l + 2, cg._a, cg._b, cg._d))
+    groups: dict = {}
     for (n, m), cf in f.items():
-        diff = n - m
-        for (k, l), cg in g.items():
-            if k - l != diff:
-                continue
-            s = s + (cf * cg.conjugate())._mul_int_ratio(2, n + m + k + l + 2)
-    return s
+        row = by_frequency.get(n - m)
+        if row is None:
+            continue
+        a, b, d = cf._a, cf._b, cf._d
+        degree = n + m
+        for weight, c, e, dg in row:
+            x = a * c + b * e
+            y = b * c - a * e
+            den = d * dg * (degree + weight)
+            acc = groups.get(den)
+            if acc is None:
+                groups[den] = [x, y]
+            else:
+                acc[0] += x
+                acc[1] += y
+    den = lcm(*groups)
+    re = im = 0
+    for key, (x, y) in groups.items():
+        scale = den // key
+        re += x * scale
+        im += y * scale
+    if re == 0 and im == 0:
+        return GR_ZERO
+    return _norm(2 * re, 2 * im, den)
 
 
 def terms_complement(f: dict) -> dict:

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .algebra import Element, GaussianRational, as_scalar
-from .engine import build_basis, q_value, selfcomm_form_matrix
+from .engine import SelfcommAssembly, build_basis, q_value
 from .linalg import HermitianForm, psd_test, rank
 from .matrix import ExactMatrix
 
@@ -167,12 +167,14 @@ def numeric_certificate(
     form matrix.  Any nonzero Hermitian form matrix here has trace zero, hence
     is indefinite, so certified non-normality always carries a witness whose
     exact form value is negative; an all-zero run returns the order reached.
+    One assembly serves every order, so each image and entry is computed once.
     """
     if order_limit < 1:
         raise ValueError("order limit must be >= 1")
+    forms = SelfcommAssembly(phi)
     for order in range(1, order_limit + 1):
         basis = build_basis(order)
-        a = selfcomm_form_matrix(phi, basis)
+        a = forms.matrix(basis)
         location = a.first_nonzero()
         if location is None:
             continue

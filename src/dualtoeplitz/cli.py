@@ -35,6 +35,8 @@ from .classify import (
     classify_with_certificate,
 )
 from .engine import (
+    CommutatorAssembly,
+    SelfcommAssembly,
     apply,
     build_basis,
     commutator_matrices,
@@ -188,15 +190,14 @@ def _cmd_rank(args) -> tuple[str, int]:
     phi = _parse(args.symbol)
     table = []
     if args.symbol2 is None:
+        forms = SelfcommAssembly(phi)
         for order in range(1, args.n_max + 1):
-            table.append(
-                {"N": order, "rank": rank(selfcomm_form_matrix(phi, order))}
-            )
+            table.append({"N": order, "rank": rank(forms.matrix(order))})
         inputs = {"symbol": args.symbol, "N_max": args.n_max}
     else:
-        psi = _parse(args.symbol2)
+        pair = CommutatorAssembly(phi, _parse(args.symbol2))
         for order in range(1, args.n_max + 1):
-            b, gram = commutator_matrices(phi, psi, order)
+            b, gram = pair.matrices(order)
             table.append({"N": order, "rank": rank(b), "gram_rank": rank(gram)})
         inputs = {
             "symbol": args.symbol,

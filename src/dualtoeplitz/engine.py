@@ -18,6 +18,13 @@ zero unless their frequency sets meet.  Only these entries can be nonzero:
 - commutator range Gram: d_i - d_j in W - W.
 
 The builders compute those entries and leave every other one an exact zero.
+
+Assembly is also incremental in the order.  The basis of order N - 1 is part
+of the basis of order N, and neither an image S_phi e_{n,m} nor an entry,
+keyed by its two exponent pairs ((n, m), (k, l)), depends on N.  A
+SelfcommAssembly or CommutatorAssembly keeps both by exponent pair, so a run
+over orders 1..N (the certificate search, the rank table) computes each once.
+The single-order builders are the one-order case of the same code.
 """
 
 from __future__ import annotations
@@ -91,10 +98,6 @@ def build_basis(order: int) -> TruncatedBasis:
     return TruncatedBasis(order=order, pairs=pairs, vectors=vectors, swap=swap)
 
 
-def _basis(order: int | TruncatedBasis) -> TruncatedBasis:
-    return order if isinstance(order, TruncatedBasis) else build_basis(order)
-
-
 def _frequencies(phi: Element) -> set[int]:
     """F(phi): the frequencies n - m of phi's terms."""
     return {n - m for n, m in phi._terms}
@@ -116,21 +119,85 @@ def _allowed(basis: TruncatedBasis, shifts: set[int]) -> Iterator[tuple[int, int
                 yield i, j
 
 
-def _hermitian(
+Pair = tuple[int, int]
+
+
+def _basis(order: int | TruncatedBasis) -> TruncatedBasis:
+    return order if isinstance(order, TruncatedBasis) else build_basis(order)
+
+
+def _images(
+    memo: dict[Pair, Element], basis: TruncatedBasis, image: Callable[[Element], Element]
+) -> list[Element]:
+    """image(e) for every basis vector, computed once per exponent pair."""
+    out = []
+    for pair, e in zip(basis.pairs, basis.vectors):
+        value = memo.get(pair)
+        if value is None:
+            value = memo[pair] = image(e)
+        out.append(value)
+    return out
+
+
+def _fill(
     basis: TruncatedBasis,
     shifts: set[int],
+    memo: dict[tuple[Pair, Pair], GaussianRational],
     entry: Callable[[int, int], GaussianRational],
+    hermitian: bool,
 ) -> ExactMatrix:
-    """entry(i, j) on the allowed pairs with j >= i, conjugated below the diagonal."""
+    """entry(i, j) on the allowed pairs, computed once per pair of exponent
+    pairs.  A Hermitian matrix computes j >= i and conjugates below the
+    diagonal; the lexicographic basis order makes j >= i the same condition at
+    every truncation order.  Zero entries and real mirror entries share one
+    object, so keeping entries across orders costs no more memory than one
+    matrix."""
     size = len(basis)
+    pairs = basis.pairs
     a = ExactMatrix.zeros(size, size)
     for i, j in _allowed(basis, shifts):
-        if j >= i:
+        if hermitian and j < i:
+            continue
+        key = (pairs[i], pairs[j])
+        value = memo.get(key)
+        if value is None:
             value = entry(i, j)
-            a.data[i][j] = value
-            if i != j:
-                a.data[j][i] = value.conjugate()
+            if value.is_zero:
+                value = kernel.GR_ZERO
+            memo[key] = value
+        a.data[i][j] = value
+        if hermitian and i != j:
+            a.data[j][i] = value if value.is_real else value.conjugate()
     return a
+
+
+class SelfcommAssembly:
+    """Self-commutator form matrices of one symbol at any truncation order.
+
+    Images and entries are kept by exponent pair, so a run over orders
+    1..N computes each of them once.
+    """
+
+    def __init__(self, phi: Element):
+        self._phi = phi
+        self._adjoint = adjoint_symbol(phi)
+        self._shifts = _differences(_frequencies(phi))
+        self._u: dict[Pair, Element] = {}
+        self._v: dict[Pair, Element] = {}
+        self._entries: dict[tuple[Pair, Pair], GaussianRational] = {}
+
+    def matrix(self, order: int | TruncatedBasis) -> ExactMatrix:
+        """See selfcomm_form_matrix."""
+        basis = _basis(order)
+        u = _images(self._u, basis, lambda e: apply(self._phi, e))
+        v = _images(self._v, basis, lambda e: apply(self._adjoint, e))
+        return _fill(
+            basis,
+            self._shifts,
+            self._entries,
+            lambda i, j: inner_product(u[j], u[i]) - inner_product(v[j], v[i]),
+            hermitian=True,
+        )
 
 
 def selfcomm_form_matrix(phi: Element, order: int | TruncatedBasis) -> ExactMatrix:
@@ -140,58 +207,73 @@ def selfcomm_form_matrix(phi: Element, order: int | TruncatedBasis) -> ExactMatr
     operator is hyponormal on the truncated span iff A is PSD.  ``order`` is a
     truncation order or a basis from build_basis.
     """
-    basis = _basis(order)
-    psi = adjoint_symbol(phi)
-    u = [apply(phi, e) for e in basis.vectors]
-    v = [apply(psi, e) for e in basis.vectors]
-    return _hermitian(
-        basis,
-        _differences(_frequencies(phi)),
-        lambda i, j: inner_product(u[j], u[i]) - inner_product(v[j], v[i]),
-    )
+    return SelfcommAssembly(phi).matrix(order)
 
 
-def _commutator_images(
-    phi: Element, psi: Element, basis: TruncatedBasis
-) -> tuple[list[Element], set[int]]:
-    """w_j = (S_phi S_psi - S_psi S_phi) e_j, and the shifts W = F(phi) + F(psi)."""
-    w = [apply(phi, apply(psi, e)) - apply(psi, apply(phi, e)) for e in basis.vectors]
-    shifts = {a + b for a in _frequencies(phi) for b in _frequencies(psi)}
-    return w, shifts
+class CommutatorAssembly:
+    """Commutator pairing and range Gram of a symbol pair at any truncation
+    order, with the images w_j = (S_phi S_psi - S_psi S_phi) e_j and the
+    entries kept by exponent pair across orders."""
 
+    def __init__(self, phi: Element, psi: Element):
+        self._phi = phi
+        self._psi = psi
+        # W = F(phi) + F(psi): the frequency shifts of the commutator
+        self._shifts = {a + b for a in _frequencies(phi) for b in _frequencies(psi)}
+        self._w: dict[Pair, Element] = {}
+        self._pairing: dict[tuple[Pair, Pair], GaussianRational] = {}
+        self._gram: dict[tuple[Pair, Pair], GaussianRational] = {}
 
-def _pairing(basis: TruncatedBasis, w: list[Element], shifts: set[int]) -> ExactMatrix:
-    size = len(basis)
-    b = ExactMatrix.zeros(size, size)
-    for i, j in _allowed(basis, shifts):
-        b.data[i][j] = inner_product(w[j], basis.vectors[i])
-    return b
+    def _images(self, basis: TruncatedBasis) -> list[Element]:
+        phi, psi = self._phi, self._psi
+        return _images(
+            self._w, basis, lambda e: apply(phi, apply(psi, e)) - apply(psi, apply(phi, e))
+        )
 
+    def pairing(self, order: int | TruncatedBasis) -> ExactMatrix:
+        """See commutator_matrix."""
+        basis = _basis(order)
+        w = self._images(basis)
+        return _fill(
+            basis,
+            self._shifts,
+            self._pairing,
+            lambda i, j: inner_product(w[j], basis.vectors[i]),
+            hermitian=False,
+        )
 
-def _range_gram(basis: TruncatedBasis, w: list[Element], shifts: set[int]) -> ExactMatrix:
-    return _hermitian(
-        basis, _differences(shifts), lambda i, j: inner_product(w[j], w[i])
-    )
+    def range_gram(self, order: int | TruncatedBasis) -> ExactMatrix:
+        """See commutator_range_gram."""
+        basis = _basis(order)
+        w = self._images(basis)
+        return _fill(
+            basis,
+            _differences(self._shifts),
+            self._gram,
+            lambda i, j: inner_product(w[j], w[i]),
+            hermitian=True,
+        )
+
+    def matrices(self, order: int | TruncatedBasis) -> tuple[ExactMatrix, ExactMatrix]:
+        """The pairing and the range Gram at one order."""
+        basis = _basis(order)
+        return self.pairing(basis), self.range_gram(basis)
 
 
 def commutator_matrices(
     phi: Element, psi: Element, order: int | TruncatedBasis
 ) -> tuple[ExactMatrix, ExactMatrix]:
     """commutator_matrix and commutator_range_gram from one pass over the images."""
-    basis = _basis(order)
-    w, shifts = _commutator_images(phi, psi, basis)
-    return _pairing(basis, w, shifts), _range_gram(basis, w, shifts)
+    return CommutatorAssembly(phi, psi).matrices(order)
 
 
 def commutator_matrix(phi: Element, psi: Element, order: int | TruncatedBasis) -> ExactMatrix:
     """Pairing B[i][j] = <(S_phi S_psi - S_psi S_phi) e_j, e_i> on the basis."""
-    basis = _basis(order)
-    return _pairing(basis, *_commutator_images(phi, psi, basis))
+    return CommutatorAssembly(phi, psi).pairing(order)
 
 
 def commutator_range_gram(
     phi: Element, psi: Element, order: int | TruncatedBasis
 ) -> ExactMatrix:
     """Gram matrix of the commutator outputs g_j; its rank is dim span{g_j}."""
-    basis = _basis(order)
-    return _range_gram(basis, *_commutator_images(phi, psi, basis))
+    return CommutatorAssembly(phi, psi).range_gram(order)

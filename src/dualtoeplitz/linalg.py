@@ -59,8 +59,10 @@ def realify(h: HermitianForm | ExactMatrix) -> ExactMatrix:
     n = m.rows
     out = ExactMatrix.zeros(2 * n, 2 * n)
     for i in range(n):
-        for j in range(n):
-            c = m.data[i][j]
+        for j, c in enumerate(m.data[i]):
+            if c.is_zero:
+                # the four entries stay the exact zeros of ExactMatrix.zeros
+                continue
             x = GaussianRational(c.re)
             y = GaussianRational(c.im)
             out.data[i][j] = x

@@ -176,8 +176,12 @@ def format_rational(value: Fraction) -> str:
 
 def format_scalar(c: GaussianRational) -> str:
     """Canonical scalar string: "p/q" when real, else "p/q+r/si"."""
+    if c.is_zero:
+        return "0"
     if c.is_real:
-        return format_rational(c.re)
+        # gcd(a, 0, d) = gcd(a, d) = 1: a/d is already in lowest terms
+        a, d = c.num_re, c.den
+        return str(a) if d == 1 else "%d/%d" % (a, d)
     im = c.im
     sign = "-" if im < 0 else "+"
     return "%s%s%si" % (format_rational(c.re), sign, format_rational(abs(im)))

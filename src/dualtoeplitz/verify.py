@@ -165,7 +165,7 @@ def certificate_agreement(
     an internally valid certificate of either kind.
     """
     phi = parse_symbol(text)
-    verdict = classify(phi)
+    verdict = classify(phi, order_limit)
     report.check(
         verdict.status.value == expected,
         f"{text}: classified {verdict.status.value} ({verdict.rule}), "
@@ -173,7 +173,10 @@ def certificate_agreement(
     )
     if verdict.status.value != expected:
         return
-    cert = numeric_certificate(phi, order_limit)
+    # classify attaches numeric evidence itself outside the proven rules
+    cert = verdict.certificate
+    if cert is None:
+        cert = numeric_certificate(phi, order_limit)
     if expected == "Normal":
         report.check(
             isinstance(cert, ZeroMatrixCertificate) and cert.order == order_limit,

@@ -1,6 +1,7 @@
 """Scalar arithmetic, elements, inner product, and projections."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from dualtoeplitz import (
     norm_sq,
 )
 
+from dualtoeplitz._backend import kernel
 from oracle_quadrature import inner_product_quadrature
 
 rationals = st.fractions(
@@ -255,6 +257,110 @@ class TestInnerProduct:
         value = norm_sq(f)
         assert value >= 0
         assert (value == 0) == f.is_zero
+
+
+# denominators up to 60 and exponents up to 5: the products of a pair fall
+# into many denominator groups of terms_inner, and several pairs share one
+wide_rationals = st.fractions(
+    min_value=Fraction(-5), max_value=Fraction(5), max_denominator=60
+)
+wide_scalars = st.builds(GaussianRational, wide_rationals, wide_rationals)
+wide_terms = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    wide_scalars.filter(lambda c: not c.is_zero),
+    max_size=6,
+)
+
+
+def all_pairs_inner(f: dict, g: dict) -> tuple[Fraction, Fraction]:
+    """<f, g> term pair by term pair in Fractions, frequencies unindexed."""
+    re = im = Fraction(0)
+    for (n, m), cf in f.items():
+        for (k, l), cg in g.items():
+            if n - m != k - l:
+                continue
+            weight = Fraction(2, n + m + k + l + 2)
+            a, b, c, e = cf.re, cf.im, cg.re, cg.im
+            re += (a * c + b * e) * weight
+            im += (b * c - a * e) * weight
+    return re, im
+
+
+def as_pairs(terms: dict):
+    return [(key, (c.re, c.im)) for key, c in terms.items()]
+
+
+def assert_normalized(value, re: Fraction, im: Fraction) -> None:
+    a, b, d = value.num_re, value.num_im, value.den
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (re, im)
+
+
+class TestTermsInner:
+    """The frequency-indexed, int-accumulated kernel against a term-pair
+    Fraction sum and the quadrature oracle."""
+
+    @HYP
+    @given(wide_terms, wide_terms)
+    def test_matches_all_pairs(self, f, g):
+        assert_normalized(kernel.terms_inner(f, g), *all_pairs_inner(f, g))
+
+    @HYP
+    @given(wide_terms)
+    def test_norm(self, f):
+        value = kernel.terms_inner(f, f)
+        re, im = all_pairs_inner(f, f)
+        assert im == 0 and re >= 0 and (re == 0) == (not f)
+        assert_normalized(value, re, im)
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(wide_terms.filter(lambda t: len(t) <= 3), wide_terms.filter(lambda t: len(t) <= 3))
+    def test_against_quadrature(self, f, g):
+        value = kernel.terms_inner(f, g)
+        assert (value.re, value.im) == inner_product_quadrature(as_pairs(f), as_pairs(g))
+
+    @HYP
+    @given(wide_terms, wide_terms, wide_terms)
+    def test_cancels_to_exact_zero(self, f, g1, g2):
+        # g = g1 + c g2 with conj(c) = -<f, g1>/<f, g2> is orthogonal to f
+        re1, im1 = all_pairs_inner(f, g1)
+        re2, im2 = all_pairs_inner(f, g2)
+        norm = re2 * re2 + im2 * im2
+        if norm == 0:
+            return
+        # -<f, g1>/<f, g2> = -(re1 + i im1)(re2 - i im2)/norm, then conjugate
+        c = GaussianRational(
+            -(re1 * re2 + im1 * im2) / norm, (im1 * re2 - re1 * im2) / norm
+        )
+        g = kernel.terms_add(g1, kernel.terms_scale(g2, c))
+        value = kernel.terms_inner(f, g)
+        assert all_pairs_inner(f, g) == (0, 0)
+        assert (value.num_re, value.num_im, value.den) == (0, 0, 1)
+
+    def test_cancellation_inside_one_denominator(self):
+        one = GaussianRational(1)
+        # <2 z - 3 z^2 zb, z> = 2 * 2/4 - 3 * 2/6: two denominator groups, zero sum
+        f = {(1, 0): GaussianRational(2), (2, 1): GaussianRational(-3)}
+        g = {(1, 0): one}
+        value = kernel.terms_inner(f, g)
+        assert (value.num_re, value.num_im, value.den) == (0, 0, 1)
+        # <i z zb + 1, -i + z zb>: the pairs (z zb, 1) and (1, z zb) share the
+        # denominator 4 and their numerators -1 and 1 cancel inside the group
+        f = {(1, 1): GaussianRational(0, 1), (0, 0): GaussianRational(1)}
+        g = {(0, 0): GaussianRational(0, -1), (1, 1): one}
+        assert all_pairs_inner(f, g) == (0, Fraction(4, 3))
+        assert_normalized(kernel.terms_inner(f, g), 0, Fraction(4, 3))
+
+    def test_empty_maps(self):
+        f = {(2, 1): GaussianRational(Fraction(1, 3), Fraction(-2, 7))}
+        for left, right in (({}, {}), (f, {}), ({}, f)):
+            value = kernel.terms_inner(left, right)
+            assert (value.num_re, value.num_im, value.den) == (0, 0, 1)
+
+    def test_disjoint_frequencies(self):
+        f = {(2, 0): GaussianRational(5), (3, 1): GaussianRational(0, 1)}
+        g = {(0, 1): GaussianRational(7), (1, 1): GaussianRational(1, 1)}
+        assert kernel.terms_inner(f, g).is_zero
 
 
 class TestProjections:

@@ -187,6 +187,22 @@ class TestTermKernelParity:
                 cy.terms_apply(f_cy, g_cy)
             )
 
+    def test_inner_product_edge_cases(self, pair):
+        # empty maps, f = g, and sums that cancel to zero inside one
+        # denominator group and across two
+        cases = []
+        for kernel in pair:
+            gr = kernel.GaussianRational
+            f = {(1, 0): gr(2), (2, 1): gr(-3), (1, 1): gr(0, 1), (0, 0): gr(1)}
+            g = {(1, 0): kernel.GR_ONE, (0, 0): gr(0, -1), (1, 1): kernel.GR_ONE}
+            h = seeded_terms(kernel, random.Random(7200), 6)
+            cases.append([({}, {}), (f, {}), (f, g), (g, f), (h, h), (h, f)])
+        py, cy = pair
+        for (f_py, g_py), (f_cy, g_cy) in zip(*cases):
+            assert triple(py.terms_inner(f_py, g_py)) == triple(
+                cy.terms_inner(f_cy, g_cy)
+            )
+
     def test_cancellation_drops_keys(self, pair):
         for kernel in pair:
             one = kernel.GR_ONE

@@ -1,16 +1,23 @@
 """Operator action, probe vectors, truncated bases, and form matrices."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualtoeplitz import (
+    CommutatorAssembly,
     Element,
     GaussianRational,
     HermitianForm,
+    NotNormalCertificate,
+    SelfcommAssembly,
+    ZeroMatrixCertificate,
     adjoint_symbol,
     apply,
     build_basis,
@@ -19,14 +26,18 @@ from dualtoeplitz import (
     commutator_matrix,
     commutator_range_gram,
     complement_project,
+    format_element,
     harmonic_project,
     inner_product,
     norm_sq,
+    numeric_certificate,
+    parse_symbol,
     psd_test,
     q_value,
+    rank,
     selfcomm_form_matrix,
 )
-from dualtoeplitz import ExactMatrix
+from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
 
 rationals = st.fractions(
@@ -308,6 +319,81 @@ class TestGradedAssembly:
         )
         psi = Element.monomial(2, 1) + Element.monomial(0, 0, Fraction(-1, 3))
         self._check(phi, psi, 3)
+
+
+def fresh_certificate(phi, order_limit):
+    """The certificate search with a new assembly at every order."""
+    for order in range(1, order_limit + 1):
+        basis = build_basis(order)
+        a = selfcomm_form_matrix(phi, basis)
+        location = a.first_nonzero()
+        if location is None:
+            continue
+        result = psd_test(HermitianForm(a))
+        witness = Element.zero()
+        for coord, vec in zip(result.witness, basis.vectors):
+            witness = witness + vec.scale(coord)
+        i, j = location
+        return NotNormalCertificate(
+            order, location, (basis.pairs[i], basis.pairs[j]), witness, result.value
+        )
+    return ZeroMatrixCertificate(order_limit)
+
+
+def rank_table(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["rank", *argv]) == 0
+    return json.loads(out.getvalue())["result"]["table"]
+
+
+# a radial pair with a real ratio: its form matrix is zero at every order
+STAYS_ZERO = parse_symbol("2 z zb - 3 z^2 zb^2 + 1/2")
+
+
+class TestAcrossOrders:
+    """One assembly reused over orders 1..N (in any sequence) must give the
+    matrices, certificates and rank tables of a fresh build at each order."""
+
+    @HYP
+    @given(symbols, symbols, st.lists(orders, min_size=1, max_size=6))
+    def test_assemblies_match_fresh_builds(self, phi, psi, sequence):
+        forms = SelfcommAssembly(phi)
+        pair = CommutatorAssembly(psi, phi)
+        for order in sequence:
+            basis = build_basis(order)
+            assert forms.matrix(basis) == selfcomm_form_matrix(phi, order)
+            assert pair.matrices(basis) == commutator_matrices(psi, phi, order)
+
+    @HYP
+    @given(symbols, st.integers(min_value=1, max_value=4))
+    @example(STAYS_ZERO, 4)
+    def test_certificate_matches_fresh_search(self, phi, order_limit):
+        cert = numeric_certificate(phi, order_limit)
+        assert cert == fresh_certificate(phi, order_limit)
+        if phi == STAYS_ZERO:
+            assert cert == ZeroMatrixCertificate(order_limit)
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(symbols, symbols, st.integers(min_value=1, max_value=4))
+    @example(STAYS_ZERO, STAYS_ZERO, 4)
+    def test_rank_tables_match_fresh_builds(self, phi, psi, n_max):
+        phi_text, psi_text = format_element(phi), format_element(psi)
+        got = rank_table("--symbol", phi_text, "--N-max", str(n_max))
+        assert got == [
+            {"N": order, "rank": rank(selfcomm_form_matrix(phi, order))}
+            for order in range(1, n_max + 1)
+        ]
+        if phi == STAYS_ZERO:
+            assert all(row["rank"] == 0 for row in got)
+        want = []
+        for order in range(1, n_max + 1):
+            b, gram = commutator_matrices(phi, psi, order)
+            want.append({"N": order, "rank": rank(b), "gram_rank": rank(gram)})
+        got = rank_table(
+            "--symbol", phi_text, "--symbol2", psi_text, "--N-max", str(n_max)
+        )
+        assert got == want
 
 
 class TestCommutatorParity:
