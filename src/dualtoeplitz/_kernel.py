@@ -1,29 +1,35 @@
-# cython: language_level=3, binding=False
-"""Compiled arithmetic kernel.
+"""Arithmetic kernel.
 
-Line-for-line Cython twin of `_core_py`: exact Gaussian-rational scalars and
-the bulk operations on monomial term maps.  Same data layout (normalized
-integer triple (a, b, d) meaning (a + b*i)/d with d > 0 and gcd(a, b, d) = 1;
-term maps are dicts from exponent pairs to nonzero scalars) and the same
-algorithms, so both backends produce bit-identical results; this one only
-removes interpreter overhead from the hot loops.
+Exact Gaussian-rational scalars and the bulk operations on monomial term maps
+(products, inner products, projection onto the complement of the harmonic
+functions).  Every other module does its scalar and term-map arithmetic here.
+
+A scalar is stored as a normalized integer triple (a, b, d) meaning
+(a + b*i)/d with d > 0 and gcd(a, b, d) = 1.  A term map is a dict mapping
+exponent pairs (n, m), i.e. the monomial z^n * conj(z)^m, to nonzero scalars.
+
+The inner product on the unit disk with normalized area measure is
+
+    <z^n conj(z)^m, z^k conj(z)^l> = 2/(n+m+k+l+2)  if n - m == k - l, else 0.
+
+terms_inner indexes the second map by that frequency n - m, so only pairs of
+equal frequency meet, and it sums their products in plain ints grouped by
+denominator, building one scalar (one gcd) per inner product instead of
+several per term pair.
 """
 
-import cython
+from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
-BACKEND = "compiled"
+BACKEND = "python"
 
 
-@cython.freelist(64)
-cdef class GaussianRational:
+class GaussianRational:
     """Complex number with rational real and imaginary parts, in lowest terms."""
 
-    cdef readonly object _a
-    cdef readonly object _b
-    cdef readonly object _d
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
         try:
@@ -46,55 +52,59 @@ cdef class GaussianRational:
     # internal: build from an already-normalized triple
     @classmethod
     def _raw(cls, a, b, d):
-        return _raw_c(a, b, d)
+        self = object.__new__(cls)
+        self._a = a
+        self._b = b
+        self._d = d
+        return self
 
     @property
-    def re(self):
+    def re(self) -> Fraction:
         return Fraction(self._a, self._d)
 
     @property
-    def im(self):
+    def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
     @property
-    def num_re(self):
+    def num_re(self) -> int:
         return self._a
 
     @property
-    def num_im(self):
+    def num_im(self) -> int:
         return self._b
 
     @property
-    def den(self):
+    def den(self) -> int:
         return self._d
 
     @property
-    def is_zero(self):
+    def is_zero(self) -> bool:
         return self._a == 0 and self._b == 0
 
     @property
-    def is_real(self):
+    def is_real(self) -> bool:
         return self._b == 0
 
-    def real_sign(self):
+    def real_sign(self) -> int:
         """Sign of the real part: -1, 0 or 1 (denominator is positive)."""
         a = self._a
         return (a > 0) - (a < 0)
 
-    def conjugate(self):
-        return _raw_c(self._a, -self._b, self._d)
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational._raw(self._a, -self._b, self._d)
 
-    def inverse(self):
+    def inverse(self) -> "GaussianRational":
         a, b, d = self._a, self._b, self._d
         if a == 0 and b == 0:
             raise ZeroDivisionError("inverse of zero")
         return _norm(d * a, -d * b, a * a + b * b)
 
-    def abs2(self):
+    def abs2(self) -> Fraction:
         """Squared modulus |a/d + (b/d)i|^2 as an exact Fraction."""
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
-    def _mul_int_ratio(self, p, q):
+    def _mul_int_ratio(self, p: int, q: int) -> "GaussianRational":
         # multiply by the rational p/q, q > 0
         return _norm(self._a * p, self._b * p, self._d * q)
 
@@ -105,77 +115,66 @@ cdef class GaussianRational:
         return self
 
     def __neg__(self):
-        return _raw_c(-self._a, -self._b, self._d)
+        return GaussianRational._raw(-self._a, -self._b, self._d)
 
     def __add__(self, other):
-        cdef GaussianRational rhs
         if type(other) is GaussianRational:
-            rhs = <GaussianRational> other
+            d1 = self._d
+            d2 = other._d
             return _norm(
-                self._a * rhs._d + rhs._a * self._d,
-                self._b * rhs._d + rhs._b * self._d,
-                self._d * rhs._d,
+                self._a * d2 + other._a * d1,
+                self._b * d2 + other._b * d1,
+                d1 * d2,
             )
-        rhs = _coerce(other)
-        if rhs is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return self.__add__(rhs)
-
-    def __radd__(self, other):
         return self.__add__(other)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        cdef GaussianRational rhs
         if type(other) is GaussianRational:
-            rhs = <GaussianRational> other
+            d1 = self._d
+            d2 = other._d
             return _norm(
-                self._a * rhs._d - rhs._a * self._d,
-                self._b * rhs._d - rhs._b * self._d,
-                self._d * rhs._d,
+                self._a * d2 - other._a * d1,
+                self._b * d2 - other._b * d1,
+                d1 * d2,
             )
-        rhs = _coerce(other)
-        if rhs is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return self.__sub__(rhs)
+        return self.__sub__(other)
 
     def __rsub__(self, other):
-        cdef GaussianRational lhs = _coerce(other)
-        if lhs is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return lhs.__sub__(self)
+        return other.__sub__(self)
 
     def __mul__(self, other):
-        cdef GaussianRational rhs
         if type(other) is GaussianRational:
-            rhs = <GaussianRational> other
-            return _norm(
-                self._a * rhs._a - self._b * rhs._b,
-                self._a * rhs._b + self._b * rhs._a,
-                self._d * rhs._d,
-            )
-        rhs = _coerce(other)
-        if rhs is None:
+            a1, b1 = self._a, self._b
+            a2, b2 = other._a, other._b
+            return _norm(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return self.__mul__(rhs)
-
-    def __rmul__(self, other):
         return self.__mul__(other)
 
+    __rmul__ = __mul__
+
     def __truediv__(self, other):
-        cdef GaussianRational rhs
-        if type(other) is GaussianRational:
-            rhs = <GaussianRational> other
-        else:
-            rhs = _coerce(other)
-            if rhs is None:
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
                 return NotImplemented
-        a2 = rhs._a
-        b2 = rhs._b
+        a2, b2 = other._a, other._b
         if a2 == 0 and b2 == 0:
             raise ZeroDivisionError("division by zero")
-        a1 = self._a
-        b1 = self._b
-        d2 = rhs._d
+        a1, b1 = self._a, self._b
+        d2 = other._d
         return _norm(
             d2 * (a1 * a2 + b1 * b2),
             d2 * (b1 * a2 - a1 * b2),
@@ -183,24 +182,22 @@ cdef class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        cdef GaussianRational lhs = _coerce(other)
-        if lhs is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return lhs.__truediv__(self)
+        return other.__truediv__(self)
 
     def __eq__(self, other):
-        cdef GaussianRational rhs
         if type(other) is GaussianRational:
-            rhs = <GaussianRational> other
             return (
-                self._a == rhs._a
-                and self._b == rhs._b
-                and self._d == rhs._d
+                self._a == other._a
+                and self._b == other._b
+                and self._d == other._d
             )
-        rhs = _coerce(other)
-        if rhs is None:
+        coerced = _coerce(other)
+        if coerced is None:
             return NotImplemented
-        return self.__eq__(rhs)
+        return self.__eq__(coerced)
 
     def __hash__(self):
         # agree with the numeric tower when the value is a plain rational
@@ -217,69 +214,57 @@ cdef class GaussianRational:
         )
 
 
-cdef GaussianRational _raw_c(a, b, d):
-    cdef GaussianRational self = GaussianRational.__new__(GaussianRational)
-    self._a = a
-    self._b = b
-    self._d = d
-    return self
-
-
-cdef GaussianRational _norm(a, b, d):
+def _norm(a, b, d):
     g = gcd(a, b, d)
     if g > 1:
-        return _raw_c(a // g, b // g, d // g)
-    return _raw_c(a, b, d)
+        return GaussianRational._raw(a // g, b // g, d // g)
+    return GaussianRational._raw(a, b, d)
 
 
-cdef GaussianRational _coerce(x):
+def _coerce(x):
     if isinstance(x, int):
-        return _raw_c(x, 0, 1)
+        return GaussianRational._raw(x, 0, 1)
     if isinstance(x, Fraction):
-        return _raw_c(x.numerator, 0, x.denominator)
+        return GaussianRational._raw(x.numerator, 0, x.denominator)
     return None
 
 
-GR_ZERO = _raw_c(0, 0, 1)
-GR_ONE = _raw_c(1, 0, 1)
+GR_ZERO = GaussianRational._raw(0, 0, 1)
+GR_ONE = GaussianRational._raw(1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
 # term-map kernels
 
 
-def terms_add(dict f, dict g):
-    cdef dict out = dict(f)
+def terms_add(f: dict, g: dict) -> dict:
+    out = dict(f)
     for key, c in g.items():
         acc = out.get(key)
         if acc is None:
             out[key] = c
         else:
             s = acc + c
-            if (<GaussianRational> s).is_zero:
+            if s.is_zero:
                 del out[key]
             else:
                 out[key] = s
     return out
 
 
-def terms_scale(dict f, GaussianRational c):
-    if c._a == 0 and c._b == 0:
+def terms_scale(f: dict, c: GaussianRational) -> dict:
+    if c.is_zero:
         return {}
     return {key: v * c for key, v in f.items()}
 
 
-def terms_conj(dict f):
+def terms_conj(f: dict) -> dict:
     # conj(z^n conj(z)^m) = z^m conj(z)^n
-    cdef dict out = {}
-    for (n, m), c in f.items():
-        out[(m, n)] = (<GaussianRational> c).conjugate()
-    return out
+    return {(m, n): c.conjugate() for (n, m), c in f.items()}
 
 
-def terms_product(dict f, dict g):
-    cdef dict out = {}
-    cdef long n1, m1, n2, m2
+def terms_product(f: dict, g: dict) -> dict:
+    out = {}
     for (n1, m1), c1 in f.items():
         for (n2, m2), c2 in g.items():
             key = (n1 + n2, m1 + m2)
@@ -289,12 +274,10 @@ def terms_product(dict f, dict g):
                 out[key] = prod
             else:
                 out[key] = acc + prod
-    return {
-        key: c for key, c in out.items() if not (<GaussianRational> c).is_zero
-    }
+    return {key: c for key, c in out.items() if not c.is_zero}
 
 
-def terms_inner(dict f, dict g):
+def terms_inner(f: dict, g: dict) -> GaussianRational:
     """<f, g>: the sum of cf * conj(cg) * 2/(n+m+k+l+2) over same-frequency pairs.
 
     g's terms are indexed once by frequency k - l, so each term of f meets only
@@ -303,15 +286,13 @@ def terms_inner(dict f, dict g):
     groups are brought to their lcm and the sum is normalized once.  The
     normalized triple is unique, so the result is the same as summing scalars.
     """
-    cdef dict by_frequency = {}
-    cdef dict groups = {}
-    cdef GaussianRational cf, cg
-    cdef long n, m, k, l, degree
+    by_frequency: dict = {}
     for (k, l), cg in g.items():
         row = by_frequency.get(k - l)
         if row is None:
             row = by_frequency[k - l] = []
         row.append((k + l + 2, cg._a, cg._b, cg._d))
+    groups: dict = {}
     for (n, m), cf in f.items():
         row = by_frequency.get(n - m)
         if row is None:
@@ -339,15 +320,14 @@ def terms_inner(dict f, dict g):
     return _norm(2 * re, 2 * im, den)
 
 
-def terms_complement(dict f):
+def terms_complement(f: dict) -> dict:
     """Project a term map onto the orthogonal complement of the harmonic part.
 
     Monomial rule: z^n conj(z)^m maps to itself minus
     ((n-m+1)/(n+1)) z^(n-m) when m <= n, minus ((m-n+1)/(m+1)) conj(z)^(m-n)
     when m > n.  Harmonic monomials cancel exactly.
     """
-    cdef dict out = {}
-    cdef long n, m
+    out = {}
     for key, c in f.items():
         n, m = key
         acc = out.get(key)
@@ -357,20 +337,18 @@ def terms_complement(dict f):
             out[key] = acc + c
         if m <= n:
             hkey = (n - m, 0)
-            corr = (<GaussianRational> c)._mul_int_ratio(n - m + 1, n + 1)
+            corr = c._mul_int_ratio(n - m + 1, n + 1)
         else:
             hkey = (0, m - n)
-            corr = (<GaussianRational> c)._mul_int_ratio(m - n + 1, m + 1)
+            corr = c._mul_int_ratio(m - n + 1, m + 1)
         acc = out.get(hkey)
         if acc is None:
             out[hkey] = -corr
         else:
             out[hkey] = acc - corr
-    return {
-        key: c for key, c in out.items() if not (<GaussianRational> c).is_zero
-    }
+    return {key: c for key, c in out.items() if not c.is_zero}
 
 
-def terms_apply(dict phi, dict f):
+def terms_apply(phi: dict, f: dict) -> dict:
     """Dual Toeplitz action on term maps: complement projection of phi*f."""
     return terms_complement(terms_product(phi, f))

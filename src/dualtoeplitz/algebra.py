@@ -12,9 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from ._backend import kernel
-
-GaussianRational = kernel.GaussianRational
+from . import _kernel as kernel
+from ._kernel import GaussianRational
 
 Scalar = Union[int, Fraction, "GaussianRational"]
 

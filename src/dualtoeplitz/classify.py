@@ -219,9 +219,6 @@ def classify_with_certificate(
             raise RuntimeError(
                 "symbolically normal symbol has a nonzero form matrix; this is a bug"
             )
-    elif verdict.status is VerdictStatus.NOT_HYPONORMAL:
-        if not isinstance(certificate, NotNormalCertificate):
-            # matrices can stay zero through the limit even for a proven
-            # non-normal symbol if the limit is tiny; surface that honestly
-            return verdict.with_certificate(certificate)
+    # matrices can stay zero through the limit even for a proven non-normal
+    # symbol if the limit is tiny; surface that honestly
     return verdict.with_certificate(certificate)

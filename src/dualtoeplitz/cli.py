@@ -26,7 +26,8 @@ import json
 import sys
 import time
 
-from ._backend import BACKEND_NAME
+from . import __version__
+from ._kernel import BACKEND as BACKEND_NAME
 from .algebra import Element, inner_product
 from .classify import (
     DEFAULT_ORDER_LIMIT,
@@ -45,15 +46,12 @@ from .engine import (
 from .linalg import HermitianForm, is_antisymmetric, psd_test, rank
 from .matrix import ExactMatrix
 from .symbols import (
-    ParseError,
     format_element,
     format_rational,
     format_scalar,
     parse_symbol,
 )
 from .verify import SUITE_NAMES, run_suites
-
-VERSION = "0.1.0"
 
 
 class UsageError(Exception):
@@ -94,19 +92,15 @@ def _document(command: str, inputs: dict, result: dict, diagnostics: dict) -> st
         "inputs": inputs,
         "result": result,
         "diagnostics": diagnostics,
-        "version": VERSION,
+        "version": __version__,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _parse(text: str) -> Element:
-    return parse_symbol(text)
 
 
 def _cmd_classify(args) -> tuple[str, int]:
     if args.n_max < 1:
         raise UsageError("--N-max must be >= 1")
-    phi = _parse(args.symbol)
+    phi = parse_symbol(args.symbol)
     verdict = classify_with_certificate(phi, args.n_max)
     result = {
         "status": verdict.status.value,
@@ -132,7 +126,7 @@ def _psd_payload(a: ExactMatrix) -> dict:
 def _cmd_matrix(args) -> tuple[str, int]:
     if args.N < 1:
         raise UsageError("--N must be >= 1")
-    phi = _parse(args.symbol)
+    phi = parse_symbol(args.symbol)
     basis = build_basis(args.N)
     if args.kind == "selfcomm":
         if args.symbol2 is not None:
@@ -148,7 +142,7 @@ def _cmd_matrix(args) -> tuple[str, int]:
     else:
         if args.symbol2 is None:
             raise UsageError("commutator kind needs --symbol2")
-        psi = _parse(args.symbol2)
+        psi = parse_symbol(args.symbol2)
         a, gram = commutator_matrices(phi, psi, basis)
         r = rank(a)
         diagnostics = {
@@ -187,7 +181,7 @@ def _matrix_csv(basis, a: ExactMatrix) -> str:
 def _cmd_rank(args) -> tuple[str, int]:
     if args.n_max < 1:
         raise UsageError("--N-max must be >= 1")
-    phi = _parse(args.symbol)
+    phi = parse_symbol(args.symbol)
     table = []
     if args.symbol2 is None:
         forms = SelfcommAssembly(phi)
@@ -195,7 +189,7 @@ def _cmd_rank(args) -> tuple[str, int]:
             table.append({"N": order, "rank": rank(forms.matrix(order))})
         inputs = {"symbol": args.symbol, "N_max": args.n_max}
     else:
-        pair = CommutatorAssembly(phi, _parse(args.symbol2))
+        pair = CommutatorAssembly(phi, parse_symbol(args.symbol2))
         for order in range(1, args.n_max + 1):
             b, gram = pair.matrices(order)
             table.append({"N": order, "rank": rank(b), "gram_rank": rank(gram)})
@@ -230,8 +224,8 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_apply(args) -> tuple[str, int]:
-    phi = _parse(args.symbol)
-    f = _parse(args.symbol2)
+    phi = parse_symbol(args.symbol)
+    f = parse_symbol(args.symbol2)
     result = {"element": _element_payload(apply(phi, f))}
     inputs = {"symbol": args.symbol, "symbol2": args.symbol2}
     diagnostics = {"backend": BACKEND_NAME}
@@ -239,8 +233,8 @@ def _cmd_apply(args) -> tuple[str, int]:
 
 
 def _cmd_inner_product(args) -> tuple[str, int]:
-    f = _parse(args.symbol)
-    g = _parse(args.symbol2)
+    f = parse_symbol(args.symbol)
+    g = parse_symbol(args.symbol2)
     result = {"value": format_scalar(inner_product(f, g))}
     inputs = {"symbol": args.symbol, "symbol2": args.symbol2}
     diagnostics = {"backend": BACKEND_NAME}
@@ -302,10 +296,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         payload, code = args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

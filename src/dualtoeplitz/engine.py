@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from ._backend import kernel
+from . import _kernel as kernel
 from .algebra import Element, GaussianRational, complement_project, inner_product
 from .matrix import ExactMatrix
 

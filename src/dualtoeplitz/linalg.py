@@ -17,12 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._backend import kernel
+from ._kernel import GR_ONE as _ONE, GR_ZERO as _ZERO, GaussianRational
 from .matrix import ExactMatrix
-
-GaussianRational = kernel.GaussianRational
-_ZERO = kernel.GR_ZERO
-_ONE = kernel.GR_ONE
 
 
 class HermitianForm:

@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from ._backend import kernel
-
-GaussianRational = kernel.GaussianRational
-_ZERO = kernel.GR_ZERO
+from ._kernel import GR_ZERO as _ZERO, GaussianRational
 
 
 class ExactMatrix:

@@ -18,7 +18,7 @@ from dualtoeplitz import (
     norm_sq,
 )
 
-from dualtoeplitz._backend import kernel
+from dualtoeplitz import _kernel as kernel
 from oracle_quadrature import inner_product_quadrature
 
 rationals = st.fractions(
@@ -41,6 +41,13 @@ class TestGaussianRational:
         assert (c.num_re, c.num_im, c.den) == (2, -3, 4)
         assert c.re == Fraction(1, 2)
         assert c.im == Fraction(-3, 4)
+        big = GaussianRational(10**30, -(10**31))
+        assert (big.num_re, big.num_im, big.den) == (10**30, -(10**31), 1)
+        tiny = GaussianRational(Fraction(10**25, 7), Fraction(3, 10**20))
+        assert (tiny.num_re, tiny.num_im, tiny.den) == (10**45, 21, 7 * 10**20)
+        assert (kernel.GR_ZERO.num_re, kernel.GR_ZERO.num_im, kernel.GR_ZERO.den) == (0, 0, 1)
+        assert (kernel.GR_ONE.num_re, kernel.GR_ONE.num_im, kernel.GR_ONE.den) == (1, 0, 1)
+        assert kernel.GR_ZERO.is_zero and kernel.GR_ONE.is_real
 
     def test_int_inputs(self):
         c = GaussianRational(3, -2)
@@ -142,6 +149,8 @@ class TestElement:
         )
         assert e == Element.monomial(1, 1)
         assert len(e) == 1
+        one = kernel.GR_ONE
+        assert kernel.terms_add({(1, 1): one, (2, 0): one}, {(1, 1): -one}) == {(2, 0): one}
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
@@ -412,6 +421,8 @@ class TestProjections:
         for k in range(5):
             assert complement_project(Element.monomial(k, 0)).is_zero
             assert complement_project(Element.monomial(0, k)).is_zero
+        assert kernel.terms_complement({(3, 0): kernel.GR_ONE}) == {}
+        assert kernel.terms_complement({(0, 2): kernel.GR_ONE}) == {}
 
     def test_known_values(self):
         # (I-Q)(z zb) = z zb - 1/2

@@ -9,7 +9,7 @@ import subprocess
 import pytest
 
 import dualtoeplitz.cli as cli
-from dualtoeplitz import SuiteReport, apply, format_element, parse_symbol
+from dualtoeplitz import BACKEND_NAME, SuiteReport, apply, format_element, parse_symbol
 
 EXPECTED_TOP_KEYS = {"command", "inputs", "result", "diagnostics", "version"}
 
@@ -37,6 +37,7 @@ class TestClassifyCommand:
         assert cert == {"kind": "zero-through-order", "order": 8}
         assert doc["inputs"] == {"N_max": 8, "symbol": "z^2 zb + z zb^2"}
         assert doc["diagnostics"]["canonical"] == "z zb^2 + z^2 zb"
+        assert doc["diagnostics"]["backend"] == BACKEND_NAME == "python"
 
     def test_not_hyponormal_certificate(self, capsys):
         doc = run_json(capsys, "classify", "--symbol", "z^2 zb")
