@@ -352,3 +352,37 @@ def terms_complement(f: dict) -> dict:
 def terms_apply(phi: dict, f: dict) -> dict:
     """Dual Toeplitz action on term maps: complement projection of phi*f."""
     return terms_complement(terms_product(phi, f))
+
+
+def terms_harmonic_product(phi: dict, f: dict) -> dict:
+    """Harmonic projection Q(phi*f) as {d: coefficient of h_d}.
+
+    h_d is the one harmonic monomial of frequency d: z^d for d >= 0 and
+    conj(z)^(-d) for d < 0.  Monomial rule:
+    Q(z^a conj(z)^b) = ((|a-b|+1)/(max(a,b)+1)) h_(a-b), the harmonic part
+    that terms_complement removes.  Each frequency's sum is kept as two int
+    numerators over one denominator and normalized once.
+    """
+    sums: dict = {}
+    for (n1, m1), c1 in phi.items():
+        a1, b1, d1 = c1._a, c1._b, c1._d
+        for (n2, m2), c2 in f.items():
+            a = n1 + n2
+            b = m1 + m2
+            d = a - b
+            a2, b2 = c2._a, c2._b
+            p = abs(d) + 1
+            x = (a1 * a2 - b1 * b2) * p
+            y = (a1 * b2 + b1 * a2) * p
+            den = d1 * c2._d * (max(a, b) + 1)
+            acc = sums.get(d)
+            if acc is None:
+                sums[d] = [x, y, den]
+            elif acc[2] == den:
+                acc[0] += x
+                acc[1] += y
+            else:
+                acc[0] = acc[0] * den + x * acc[2]
+                acc[1] = acc[1] * den + y * acc[2]
+                acc[2] *= den
+    return {d: _norm(x, y, den) for d, (x, y, den) in sums.items() if x or y}

@@ -40,10 +40,8 @@ from .engine import (
     SelfcommAssembly,
     apply,
     build_basis,
-    commutator_matrices,
-    selfcomm_form_matrix,
 )
-from .linalg import HermitianForm, is_antisymmetric, psd_test, rank
+from .linalg import HermitianForm, is_antisymmetric, psd_test
 from .matrix import ExactMatrix
 from .symbols import (
     format_element,
@@ -131,26 +129,27 @@ def _cmd_matrix(args) -> tuple[str, int]:
     if args.kind == "selfcomm":
         if args.symbol2 is not None:
             raise UsageError("selfcomm takes a single symbol")
-        a = selfcomm_form_matrix(phi, basis)
+        forms = SelfcommAssembly(phi)
+        a = forms.matrix(basis)
         diagnostics = {
             "backend": BACKEND_NAME,
             "hermitian": True,
             "psd": _psd_payload(a),
-            "rank": rank(a),
+            "rank": forms.rank(basis),
         }
         inputs = {"kind": args.kind, "symbol": args.symbol, "N": args.N}
     else:
         if args.symbol2 is None:
             raise UsageError("commutator kind needs --symbol2")
-        psi = parse_symbol(args.symbol2)
-        a, gram = commutator_matrices(phi, psi, basis)
-        r = rank(a)
+        pair = CommutatorAssembly(phi, parse_symbol(args.symbol2))
+        a = pair.pairing(basis)
+        r, gram_rank = pair.ranks(basis)
         diagnostics = {
             "backend": BACKEND_NAME,
             "swap_antisymmetric": is_antisymmetric(a.permute_rows(basis.swap)),
             "rank": r,
             "rank_even": r % 2 == 0,
-            "gram_rank": rank(gram),
+            "gram_rank": gram_rank,
         }
         inputs = {
             "kind": args.kind,
@@ -186,13 +185,13 @@ def _cmd_rank(args) -> tuple[str, int]:
     if args.symbol2 is None:
         forms = SelfcommAssembly(phi)
         for order in range(1, args.n_max + 1):
-            table.append({"N": order, "rank": rank(forms.matrix(order))})
+            table.append({"N": order, "rank": forms.rank(order)})
         inputs = {"symbol": args.symbol, "N_max": args.n_max}
     else:
         pair = CommutatorAssembly(phi, parse_symbol(args.symbol2))
         for order in range(1, args.n_max + 1):
-            b, gram = pair.matrices(order)
-            table.append({"N": order, "rank": rank(b), "gram_rank": rank(gram)})
+            r, gram_rank = pair.ranks(order)
+            table.append({"N": order, "rank": r, "gram_rank": gram_rank})
         inputs = {
             "symbol": args.symbol,
             "symbol2": args.symbol2,

@@ -25,6 +25,27 @@ keyed by its two exponent pairs ((n, m), (k, l)), depends on N.  A
 SelfcommAssembly or CommutatorAssembly keeps both by exponent pair, so a run
 over orders 1..N (the certificate search, the rank table) computes each once.
 The single-order builders are the one-order case of the same code.
+
+Ranks go through the harmonic defect.  With H_phi f = Q(phi f) and
+|phi| = |conj(phi)|, the form factors as
+S_phi* S_phi - S_phi S_phi* = H_conj(phi)* H_conj(phi) - H_phi* H_phi, the
+dual-Toeplitz analogue of the Toeplitz/Hankel identity, so
+
+    A[i][j] = <Q(conj(phi) e_j), Q(conj(phi) e_i)> - <Q(phi e_j), Q(phi e_i)>.
+
+Q(phi e_j) is a combination of the harmonic monomials h_d (z^d for d >= 0,
+conj(z)^(-d) for d < 0), which are orthogonal with <h_d, h_d> = 1/(|d|+1).
+So A = M^H G M with G diagonal, entries +-1/(|d|+1), and the factor column
+M_j = (Q(conj(phi) e_j), Q(phi e_j)) stored as {2d: coefficient of h_d in the
+first half, 2d + 1: in the second}: at most one key per term of each symbol.
+Likewise the commutator image
+w_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)), P the complement projection,
+depends on e_j only through the column (Q(phi e_j), Q(psi e_j)), and row i of
+the pairing through (Q(conj(phi) e_i), Q(conj(psi) e_i)), via the adjoint
+[S_phi, S_psi]* = [S_conj(psi), S_conj(phi)].  linalg.independent_columns
+picks a maximal independent set S of the columns (T of the rows), and the
+ranks are those of the cores A[S, S], B[T, S] and Gram[S, S] (the proof is in
+linalg), of size O(N) instead of N^2.  Only the core entries are assembled.
 """
 
 from __future__ import annotations
@@ -32,11 +53,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import _kernel as kernel
 from .algebra import Element, GaussianRational, complement_project, inner_product
+from .linalg import independent_columns, rank
 from .matrix import ExactMatrix
+
+# a factor column: {key: coefficient}, keyed as in the module docstring
+Column = dict[int, GaussianRational]
 
 
 def apply(phi: Element, f: Element) -> Element:
@@ -108,18 +133,24 @@ def _differences(shifts: set[int]) -> set[int]:
     return {a - b for a in shifts for b in shifts}
 
 
-def _allowed(basis: TruncatedBasis, shifts: set[int]) -> Iterator[tuple[int, int]]:
-    """Index pairs (i, j) with d_i - d_j in shifts; every other entry is zero."""
-    by_frequency: dict[int, list[int]] = defaultdict(list)
-    for j, (n, m) in enumerate(basis.pairs):
-        by_frequency[n - m].append(j)
-    for i, (n, m) in enumerate(basis.pairs):
+def _allowed(
+    pairs: Sequence[Pair], rows: Sequence[int], cols: Sequence[int], shifts: set[int]
+) -> Iterator[tuple[int, int, int, int]]:
+    """Positions (r, c) and basis indices (i, j) = (rows[r], cols[c]) with
+    d_i - d_j in shifts; every other entry is zero."""
+    by_frequency: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for c, j in enumerate(cols):
+        n, m = pairs[j]
+        by_frequency[n - m].append((c, j))
+    for r, i in enumerate(rows):
+        n, m = pairs[i]
         for s in shifts:
-            for j in by_frequency.get(n - m - s, ()):
-                yield i, j
+            for c, j in by_frequency.get(n - m - s, ()):
+                yield r, c, i, j
 
 
 Pair = tuple[int, int]
+V = TypeVar("V")
 
 
 def _basis(order: int | TruncatedBasis) -> TruncatedBasis:
@@ -127,36 +158,63 @@ def _basis(order: int | TruncatedBasis) -> TruncatedBasis:
 
 
 def _images(
-    memo: dict[Pair, Element], basis: TruncatedBasis, image: Callable[[Element], Element]
-) -> list[Element]:
-    """image(e) for every basis vector, computed once per exponent pair."""
-    out = []
-    for pair, e in zip(basis.pairs, basis.vectors):
-        value = memo.get(pair)
+    memo: dict[Pair, V],
+    basis: TruncatedBasis,
+    image: Callable[[Element], V],
+    indices: Iterable[int],
+) -> dict[int, V]:
+    """image(e_i) for the basis indices i, computed once per exponent pair."""
+    pairs = basis.pairs
+    out = {}
+    for i in indices:
+        value = memo.get(pairs[i])
         if value is None:
-            value = memo[pair] = image(e)
-        out.append(value)
+            value = memo[pairs[i]] = image(basis.vectors[i])
+        out[i] = value
     return out
+
+
+def _harmonic_factor(first: Element, second: Element) -> Callable[[Element], Column]:
+    """e -> the stacked column (Q(first e), Q(second e)): the coefficient of
+    h_d in Q(first e) under the key 2d and in Q(second e) under 2d + 1.  It
+    has at most one key per term of each symbol."""
+
+    def column(e: Element) -> Column:
+        out = {2 * d: c for d, c in kernel.terms_harmonic_product(first._terms, e._terms).items()}
+        for d, c in kernel.terms_harmonic_product(second._terms, e._terms).items():
+            out[2 * d + 1] = c
+        return out
+
+    return column
+
+
+def _factor(
+    memo: dict[Pair, Column], basis: TruncatedBasis, column: Callable[[Element], Column]
+) -> list[Column]:
+    """column(e) for every basis vector, in basis order."""
+    return list(_images(memo, basis, column, range(len(basis))).values())
 
 
 def _fill(
     basis: TruncatedBasis,
+    rows: Sequence[int],
+    cols: Sequence[int],
     shifts: set[int],
     memo: dict[tuple[Pair, Pair], GaussianRational],
     entry: Callable[[int, int], GaussianRational],
     hermitian: bool,
 ) -> ExactMatrix:
-    """entry(i, j) on the allowed pairs, computed once per pair of exponent
-    pairs.  A Hermitian matrix computes j >= i and conjugates below the
-    diagonal; the lexicographic basis order makes j >= i the same condition at
-    every truncation order.  Zero entries and real mirror entries share one
-    object, so keeping entries across orders costs no more memory than one
-    matrix."""
-    size = len(basis)
+    """The submatrix on the basis indices rows x cols (both increasing):
+    entry(i, j) on the allowed pairs, computed once per pair of exponent
+    pairs.  A Hermitian matrix (rows == cols) computes j >= i and conjugates
+    below the diagonal; the lexicographic basis order makes j >= i the same
+    condition at every truncation order.  Zero entries and real mirror entries
+    share one object, so keeping entries across orders costs no more memory
+    than one matrix."""
     pairs = basis.pairs
-    a = ExactMatrix.zeros(size, size)
-    for i, j in _allowed(basis, shifts):
-        if hermitian and j < i:
+    a = ExactMatrix.zeros(len(rows), len(cols))
+    for r, c, i, j in _allowed(pairs, rows, cols, shifts):
+        if hermitian and c < r:
             continue
         key = (pairs[i], pairs[j])
         value = memo.get(key)
@@ -165,17 +223,18 @@ def _fill(
             if value.is_zero:
                 value = kernel.GR_ZERO
             memo[key] = value
-        a.data[i][j] = value
-        if hermitian and i != j:
-            a.data[j][i] = value if value.is_real else value.conjugate()
+        a.data[r][c] = value
+        if hermitian and r != c:
+            a.data[c][r] = value if value.is_real else value.conjugate()
     return a
 
 
 class SelfcommAssembly:
-    """Self-commutator form matrices of one symbol at any truncation order.
+    """Self-commutator form matrices of one symbol at any truncation order,
+    and their ranks through the core.
 
-    Images and entries are kept by exponent pair, so a run over orders
-    1..N computes each of them once.
+    Images, factor columns and entries are kept by exponent pair, so a run
+    over orders 1..N computes each of them once.
     """
 
     def __init__(self, phi: Element):
@@ -185,19 +244,39 @@ class SelfcommAssembly:
         self._u: dict[Pair, Element] = {}
         self._v: dict[Pair, Element] = {}
         self._entries: dict[tuple[Pair, Pair], GaussianRational] = {}
+        # M_j = (Q(conj(phi) e_j), Q(phi e_j)), the factor of the form
+        self._column_factor = _harmonic_factor(self._adjoint, phi)
+        self._columns: dict[Pair, Column] = {}
 
-    def matrix(self, order: int | TruncatedBasis) -> ExactMatrix:
-        """See selfcomm_form_matrix."""
-        basis = _basis(order)
-        u = _images(self._u, basis, lambda e: apply(self._phi, e))
-        v = _images(self._v, basis, lambda e: apply(self._adjoint, e))
+    def _form(self, basis: TruncatedBasis, indices: Sequence[int]) -> ExactMatrix:
+        """A[indices, indices]."""
+        u = _images(self._u, basis, lambda e: apply(self._phi, e), indices)
+        v = _images(self._v, basis, lambda e: apply(self._adjoint, e), indices)
         return _fill(
             basis,
+            indices,
+            indices,
             self._shifts,
             self._entries,
             lambda i, j: inner_product(u[j], u[i]) - inner_product(v[j], v[i]),
             hermitian=True,
         )
+
+    def matrix(self, order: int | TruncatedBasis) -> ExactMatrix:
+        """See selfcomm_form_matrix."""
+        basis = _basis(order)
+        return self._form(basis, range(len(basis)))
+
+    def factor(self, order: int | TruncatedBasis) -> list[Column]:
+        """The factor columns M_j = (Q(conj(phi) e_j), Q(phi e_j)) in basis
+        order, keyed as in the module docstring."""
+        return _factor(self._columns, _basis(order), self._column_factor)
+
+    def rank(self, order: int | TruncatedBasis) -> int:
+        """Rank of the form matrix at this order: the rank of A[S, S] for a
+        maximal independent set S of the factor columns."""
+        basis = _basis(order)
+        return rank(self._form(basis, independent_columns(self.factor(basis))))
 
 
 def selfcomm_form_matrix(phi: Element, order: int | TruncatedBasis) -> ExactMatrix:
@@ -212,52 +291,98 @@ def selfcomm_form_matrix(phi: Element, order: int | TruncatedBasis) -> ExactMatr
 
 class CommutatorAssembly:
     """Commutator pairing and range Gram of a symbol pair at any truncation
-    order, with the images w_j = (S_phi S_psi - S_psi S_phi) e_j and the
-    entries kept by exponent pair across orders."""
+    order, and their ranks through the core, with the images
+    w_j = (S_phi S_psi - S_psi S_phi) e_j, the factor columns and the entries
+    kept by exponent pair across orders."""
 
     def __init__(self, phi: Element, psi: Element):
         self._phi = phi
         self._psi = psi
         # W = F(phi) + F(psi): the frequency shifts of the commutator
         self._shifts = {a + b for a in _frequencies(phi) for b in _frequencies(psi)}
+        self._gram_shifts = _differences(self._shifts)
         self._w: dict[Pair, Element] = {}
         self._pairing: dict[tuple[Pair, Pair], GaussianRational] = {}
         self._gram: dict[tuple[Pair, Pair], GaussianRational] = {}
+        # w_j depends on e_j through (Q(phi e_j), Q(psi e_j)), and row i of the
+        # pairing on e_i through (Q(conj(phi) e_i), Q(conj(psi) e_i))
+        self._column_factor = _harmonic_factor(phi, psi)
+        self._row_factor = _harmonic_factor(adjoint_symbol(phi), adjoint_symbol(psi))
+        self._columns: dict[Pair, Column] = {}
+        self._rows: dict[Pair, Column] = {}
 
-    def _images(self, basis: TruncatedBasis) -> list[Element]:
+    def _images(self, basis: TruncatedBasis, indices: Sequence[int]) -> dict[int, Element]:
         phi, psi = self._phi, self._psi
         return _images(
-            self._w, basis, lambda e: apply(phi, apply(psi, e)) - apply(psi, apply(phi, e))
+            self._w,
+            basis,
+            lambda e: apply(phi, apply(psi, e)) - apply(psi, apply(phi, e)),
+            indices,
         )
 
-    def pairing(self, order: int | TruncatedBasis) -> ExactMatrix:
-        """See commutator_matrix."""
-        basis = _basis(order)
-        w = self._images(basis)
+    def _pairing_block(
+        self, basis: TruncatedBasis, rows: Sequence[int], cols: Sequence[int]
+    ) -> ExactMatrix:
+        w = self._images(basis, cols)
         return _fill(
             basis,
+            rows,
+            cols,
             self._shifts,
             self._pairing,
             lambda i, j: inner_product(w[j], basis.vectors[i]),
             hermitian=False,
         )
 
-    def range_gram(self, order: int | TruncatedBasis) -> ExactMatrix:
-        """See commutator_range_gram."""
-        basis = _basis(order)
-        w = self._images(basis)
+    def _gram_block(self, basis: TruncatedBasis, indices: Sequence[int]) -> ExactMatrix:
+        w = self._images(basis, indices)
         return _fill(
             basis,
-            _differences(self._shifts),
+            indices,
+            indices,
+            self._gram_shifts,
             self._gram,
             lambda i, j: inner_product(w[j], w[i]),
             hermitian=True,
         )
 
+    def pairing(self, order: int | TruncatedBasis) -> ExactMatrix:
+        """See commutator_matrix."""
+        basis = _basis(order)
+        every = range(len(basis))
+        return self._pairing_block(basis, every, every)
+
+    def range_gram(self, order: int | TruncatedBasis) -> ExactMatrix:
+        """See commutator_range_gram."""
+        basis = _basis(order)
+        return self._gram_block(basis, range(len(basis)))
+
     def matrices(self, order: int | TruncatedBasis) -> tuple[ExactMatrix, ExactMatrix]:
         """The pairing and the range Gram at one order."""
         basis = _basis(order)
         return self.pairing(basis), self.range_gram(basis)
+
+    def factors(self, order: int | TruncatedBasis) -> tuple[list[Column], list[Column]]:
+        """The column factors (Q(phi e_j), Q(psi e_j)) and the row factors
+        (Q(conj(phi) e_i), Q(conj(psi) e_i)) in basis order, keyed as in the
+        module docstring."""
+        basis = _basis(order)
+        return (
+            _factor(self._columns, basis, self._column_factor),
+            _factor(self._rows, basis, self._row_factor),
+        )
+
+    def ranks(self, order: int | TruncatedBasis) -> tuple[int, int]:
+        """Ranks of the pairing and the range Gram at this order: the ranks of
+        B[T, S] and Gram[S, S], with S a maximal independent set of the
+        columns (Q(phi e_j), Q(psi e_j)) and T one of the rows
+        (Q(conj(phi) e_i), Q(conj(psi) e_i))."""
+        basis = _basis(order)
+        cols, rows = (independent_columns(factor) for factor in self.factors(basis))
+        return (
+            rank(self._pairing_block(basis, rows, cols)),
+            rank(self._gram_block(basis, cols)),
+        )
 
 
 def commutator_matrices(

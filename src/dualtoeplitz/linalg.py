@@ -9,6 +9,13 @@ integers, kept as a pair of int lists (real and imaginary parts), and each
 Bareiss division by the previous pivot is exact by Sylvester's identity and
 checked, so a kernel bug raises instead of giving a wrong rank.  No floating
 point anywhere.
+
+The engine's ranks run this elimination on a core.  If A = M^H G M and S
+is a maximal independent set of M's columns, then M = M[:, S] C where C has
+full row rank (its columns on S form the identity), so A = C^H A[S, S] C
+and rank A <= rank A[S, S]; A[S, S] is a submatrix of A, so the ranks are
+equal.  Likewise B = E^H K M with E = E[:, T] F gives B = F^H B[T, S] C.
+independent_columns finds S (and T) by sparse row-echelon elimination.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Iterable
 
 from ._kernel import GR_ONE as _ONE, GR_ZERO as _ZERO, GaussianRational
 from .matrix import ExactMatrix
@@ -178,6 +186,44 @@ def _indefinite(
     if not value.is_real or value.real_sign() >= 0:
         raise RuntimeError("witness reconstruction failed; this is a bug")
     return PsdResult(is_psd=False, witness=witness, value=value.re)
+
+
+def independent_columns(columns: Iterable[dict]) -> list[int]:
+    """Positions of a maximal linearly independent set of sparse columns.
+
+    A column maps orderable row keys to GaussianRational entries.  The
+    columns are taken in order and brought to row-echelon form: the
+    smallest key of a partly reduced column names the one pivot that can
+    cancel it, so only keys the column holds are looked up, and pivots are
+    never back-substituted.  A column that reduces to zero depends on the
+    chosen ones before it; otherwise it is chosen and its reduced form,
+    scaled to a leading 1, becomes the pivot of its smallest key.
+    """
+    # leading key -> the pivot's other entries (its leading entry is 1)
+    pivots: dict = {}
+    chosen = []
+    for j, column in enumerate(columns):
+        v = {key: c for key, c in column.items() if not c.is_zero}
+        while v:
+            lead = min(v)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = v.pop(lead).inverse()
+                pivots[lead] = {key: c * scale for key, c in v.items()}
+                chosen.append(j)
+                break
+            s = v.pop(lead)
+            for key, c in pivot.items():
+                x = v.get(key)
+                if x is None:
+                    v[key] = -(c * s)
+                else:
+                    x = x - c * s
+                    if x.is_zero:
+                        del v[key]
+                    else:
+                        v[key] = x
+    return chosen
 
 
 def rank(m: ExactMatrix) -> int:

@@ -39,6 +39,9 @@ from dualtoeplitz import (
 )
 from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
+from dualtoeplitz.linalg import independent_columns
+
+from oracle_rank import bruteforce_rank, matrix_to_pairs
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=8
@@ -437,3 +440,116 @@ class TestCommutatorParity:
                 ]
             )
             assert rank(b) == mirror.rank()
+
+
+def _harmonic(half):
+    """sum_d c_d h_d for {d: c_d}, with h_d = z^d (d >= 0) or conj(z)^(-d)."""
+    out = Element.zero()
+    for d, c in half.items():
+        out = out + Element.monomial(max(d, 0), max(-d, 0), c)
+    return out
+
+
+def _halves(column):
+    """The two harmonic elements of a factor column keyed 2d + half."""
+    halves = ({}, {})
+    for key, c in column.items():
+        halves[key & 1][key >> 1] = c
+    return tuple(_harmonic(h) for h in halves)
+
+
+def _dense(columns):
+    """Sparse columns as the oracle's rows over the union of their keys."""
+    keys = sorted({key for column in columns for key in column})
+    zero = GaussianRational(0)
+    return [
+        [(column.get(key, zero).re, column.get(key, zero).im) for column in columns]
+        for key in keys
+    ]
+
+
+def _independent_and_maximal(columns):
+    chosen = independent_columns(columns)
+    assert chosen == sorted(chosen)
+    picked = [columns[j] for j in chosen]
+    assert bruteforce_rank(_dense(picked)) == len(chosen)
+    assert bruteforce_rank(_dense(columns)) == len(chosen)
+
+
+WIDE_TOP = "(-12/13+5/13i) zb^2 + (3/5-4/5i) z + (15/17+8/17i) z^3 zb"
+
+
+class TestHarmonicCore:
+    """Ranks through the factors Q(phi e_j): the factor identities against
+    the image assembly, the column selection against the brute-force oracle,
+    and the core ranks against full-matrix ranks."""
+
+    @HYP
+    @given(symbols, orders)
+    def test_selfcomm_factor_identity(self, phi, order):
+        basis = build_basis(order)
+        bar = adjoint_symbol(phi)
+        forms = SelfcommAssembly(phi)
+        a = forms.matrix(basis)
+        halves = [_halves(column) for column in forms.factor(basis)]
+        for (q_bar, q), e in zip(halves, basis.vectors):
+            assert q_bar == harmonic_project(bar * e)
+            assert q == harmonic_project(phi * e)
+        for i, (bar_i, q_i) in enumerate(halves):
+            for j, (bar_j, q_j) in enumerate(halves):
+                assert a[i, j] == inner_product(bar_j, bar_i) - inner_product(q_j, q_i)
+
+    @HYP
+    @given(symbols, symbols, orders)
+    def test_commutator_factor_identity(self, phi, psi, order):
+        basis = build_basis(order)
+        bar_phi, bar_psi = adjoint_symbol(phi), adjoint_symbol(psi)
+        columns, rows = CommutatorAssembly(phi, psi).factors(basis)
+        b = commutator_matrix(phi, psi, basis)
+        adjoint_images = []
+        for e, column, row in zip(basis.vectors, columns, rows):
+            q_phi, q_psi = _halves(column)
+            assert (q_phi, q_psi) == (harmonic_project(phi * e), harmonic_project(psi * e))
+            w = apply(phi, apply(psi, e)) - apply(psi, apply(phi, e))
+            assert w == complement_project(psi * q_phi) - complement_project(phi * q_psi)
+            # [S_phi, S_psi]* e = [S_conj(psi), S_conj(phi)] e
+            q_bar_phi, q_bar_psi = _halves(row)
+            adjoint_images.append(
+                complement_project(bar_phi * q_bar_psi)
+                - complement_project(bar_psi * q_bar_phi)
+            )
+        for i, image in enumerate(adjoint_images):
+            for j, e in enumerate(basis.vectors):
+                assert b[i, j] == inner_product(e, image)
+
+    @HYP
+    @given(symbols, symbols, orders)
+    def test_selection_is_independent_and_maximal(self, phi, psi, order):
+        _independent_and_maximal(SelfcommAssembly(phi).factor(order))
+        for factor in CommutatorAssembly(phi, psi).factors(order):
+            _independent_and_maximal(factor)
+
+    @HYP
+    @given(symbols, symbols, orders)
+    def test_core_ranks_match_full_matrices(self, phi, psi, order):
+        a = selfcomm_form_matrix(phi, order)
+        assert SelfcommAssembly(phi).rank(order) == rank(a)
+        assert rank(a) == bruteforce_rank(matrix_to_pairs(a))
+        b, gram = commutator_matrices(phi, psi, order)
+        assert CommutatorAssembly(phi, psi).ranks(order) == (rank(b), rank(gram))
+        assert rank(b) == bruteforce_rank(matrix_to_pairs(b))
+        assert rank(gram) == bruteforce_rank(matrix_to_pairs(gram))
+
+    def test_rank_table_pinned_beyond_the_oracle(self):
+        # computed by full-matrix elimination on the whole N^2 x N^2 form
+        ranks = [0, 2, 6, 12, 18, 24, 30, 36, 40, 44, 48, 52]
+        got = rank_table("--symbol", "zb^2 + z + z^3 zb", "--N-max", "12")
+        assert got == [{"N": n, "rank": r} for n, r in enumerate(ranks, start=1)]
+
+    def test_dense_top_form_rank_pinned(self):
+        # the dense-elim benchmark's top command: rank 44 of 100
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["matrix", "selfcomm", "--symbol", WIDE_TOP, "--N", "10"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 0
+        assert json.loads(out.getvalue())["diagnostics"]["rank"] == 44

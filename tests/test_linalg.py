@@ -21,6 +21,7 @@ from dualtoeplitz import (
     realify,
     selfcomm_form_matrix,
 )
+from dualtoeplitz.linalg import independent_columns
 
 from oracle_rank import bruteforce_rank, matrix_to_pairs
 
@@ -321,6 +322,46 @@ class TestBlockRank:
         a = matrix([[0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3], [0, 0, 0, 0]])
         assert rank(a) == 3
         assert rank(a.transpose()) == 3
+
+
+@st.composite
+def sparse_columns(draw):
+    """Sparse columns over a few integer keys, some of them combinations of
+    earlier ones, zero or explicitly holding a zero entry."""
+    keys = st.integers(-3, 3)
+    columns = []
+    for _ in range(draw(st.integers(0, 8))):
+        if columns and draw(st.booleans()):
+            x, y = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            s, t = draw(entries), draw(entries)
+            column = {k: x.get(k, gr(0)) * s + y.get(k, gr(0)) * t for k in {*x, *y}}
+        else:
+            column = draw(st.dictionaries(keys, entries, max_size=4))
+        columns.append(column)
+    return columns
+
+
+class TestIndependentColumns:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(sparse_columns())
+    def test_independent_and_maximal(self, columns):
+        keys = sorted({k for column in columns for k in column})
+
+        def oracle_rank(cols):
+            return bruteforce_rank(
+                [[(c.get(k, gr(0)).re, c.get(k, gr(0)).im) for c in cols] for k in keys]
+            )
+
+        chosen = independent_columns(columns)
+        assert chosen == sorted(set(chosen))
+        assert oracle_rank([columns[j] for j in chosen]) == len(chosen)
+        assert oracle_rank(columns) == len(chosen)
+
+    def test_greedy_in_order(self):
+        e0, e1 = {0: gr(1)}, {1: gr(2, 1)}
+        both = {0: gr(3), 1: gr(-1, 1)}
+        assert independent_columns([{}, e0, both, e1, {5: gr(0)}]) == [1, 2]
+        assert independent_columns([e1, e0, both]) == [0, 1]
 
 
 big_fractions = st.builds(
