@@ -320,6 +320,44 @@ def terms_inner(f: dict, g: dict) -> GaussianRational:
     return _norm(2 * re, 2 * im, den)
 
 
+def factor_form(f: dict, g: dict) -> GaussianRational:
+    """<g, f>_G: the sum of +-conj(f[k]) * g[k] / (|d|+1) over shared keys k.
+
+    f and g are harmonic factor columns {key: coefficient}: the key 2d holds
+    a coefficient of h_d in the first half (sign +), 2d + 1 in the second
+    (sign -), and <h_d, h_d> = 1/(|d|+1), d = k >> 1.  The products are
+    summed as int numerators grouped by denominator and normalized once, as
+    in terms_inner, so the result is the same normalized triple.
+    """
+    groups: dict = {}
+    for key, cf in f.items():
+        cg = g.get(key)
+        if cg is None:
+            continue
+        a, b, c, e = cf._a, cf._b, cg._a, cg._b
+        # (a - bi)(c + ei)
+        x = a * c + b * e
+        y = a * e - b * c
+        if key & 1:
+            x, y = -x, -y
+        den = cf._d * cg._d * (abs(key >> 1) + 1)
+        acc = groups.get(den)
+        if acc is None:
+            groups[den] = [x, y]
+        else:
+            acc[0] += x
+            acc[1] += y
+    den = lcm(*groups)
+    re = im = 0
+    for key, (x, y) in groups.items():
+        scale = den // key
+        re += x * scale
+        im += y * scale
+    if re == 0 and im == 0:
+        return GR_ZERO
+    return _norm(re, im, den)
+
+
 def terms_complement(f: dict) -> dict:
     """Project a term map onto the orthogonal complement of the harmonic part.
 

@@ -20,14 +20,14 @@ zero unless their frequency sets meet.  Only these entries can be nonzero:
 The builders compute those entries and leave every other one an exact zero.
 
 Assembly is also incremental in the order.  The basis of order N - 1 is part
-of the basis of order N, and neither an image S_phi e_{n,m} nor an entry,
-keyed by its two exponent pairs ((n, m), (k, l)), depends on N.  A
-SelfcommAssembly or CommutatorAssembly keeps both by exponent pair, so a run
+of the basis of order N, and neither an image, a factor column nor an entry,
+keyed by its exponent pairs ((n, m), (k, l)), depends on N.  A
+SelfcommAssembly or CommutatorAssembly keeps them by exponent pair, so a run
 over orders 1..N (the certificate search, the rank table) computes each once.
 The single-order builders are the one-order case of the same code.
 
-Ranks go through the harmonic defect.  With H_phi f = Q(phi f) and
-|phi| = |conj(phi)|, the form factors as
+The self-commutator form comes from its harmonic factor.  With
+H_phi f = Q(phi f) and |phi| = |conj(phi)|, the form factors as
 S_phi* S_phi - S_phi S_phi* = H_conj(phi)* H_conj(phi) - H_phi* H_phi, the
 dual-Toeplitz analogue of the Toeplitz/Hankel identity, so
 
@@ -38,14 +38,31 @@ conj(z)^(-d) for d < 0), which are orthogonal with <h_d, h_d> = 1/(|d|+1).
 So A = M^H G M with G diagonal, entries +-1/(|d|+1), and the factor column
 M_j = (Q(conj(phi) e_j), Q(phi e_j)) stored as {2d: coefficient of h_d in the
 first half, 2d + 1: in the second}: at most one key per term of each symbol.
-Likewise the commutator image
-w_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)), P the complement projection,
-depends on e_j only through the column (Q(phi e_j), Q(psi e_j)), and row i of
-the pairing through (Q(conj(phi) e_i), Q(conj(psi) e_i)), via the adjoint
-[S_phi, S_psi]* = [S_conj(psi), S_conj(phi)].  linalg.independent_columns
-picks a maximal independent set S of the columns (T of the rows), and the
-ranks are those of the cores A[S, S], B[T, S] and Gram[S, S] (the proof is in
-linalg), of size O(N) instead of N^2.  Only the core entries are assembled.
+Every entry is the short dot product A[i][j] = <M_j, M_i>_G
+(_kernel.factor_form), and the images S_phi e_j are never formed.
+
+The rank needs no entries at all.  Let V = range M in C^K, K the number of
+keys the columns hold, and N a basis of V^perp = ker M^H.  Then
+
+    rank A = 2 dim V - K + rank(N^H G^-1 N).
+
+Proof: rank A = dim V - dim R for the radical R = V cap G^-1 V^perp of G on
+V, and G^-1 N y lies in V = ker N^H iff N^H G^-1 N y = 0, so
+dim R = (K - dim V) - rank(N^H G^-1 N).  G^-1 = diag(+-(|d|+1)) holds only
+ints.  K - dim V was 2 to 4 at N >= 10 on the non-normal symbols tried,
+and about K/2 on normal ones, where A = 0.  V and N come from one
+linalg.Echelon of the columns, grown by each order's new exponent pairs
+(linalg.diagonal_form_rank).
+
+The commutator image w_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)), P the
+complement projection, depends on e_j only through the column
+(Q(phi e_j), Q(psi e_j)), and row i of the pairing through
+(Q(conj(phi) e_i), Q(conj(psi) e_i)), via the adjoint
+[S_phi, S_psi]* = [S_conj(psi), S_conj(phi)].  Its middle factor is not
+diagonal, so its ranks are those of the cores B[T, S] and Gram[S, S] (the
+proof is in linalg), with S a maximal independent set of the columns and T
+of the rows, of size O(N) instead of N^2.  Only the core entries are
+assembled.
 """
 
 from __future__ import annotations
@@ -57,7 +74,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import _kernel as kernel
 from .algebra import Element, GaussianRational, complement_project, inner_product
-from .linalg import independent_columns, rank
+from .linalg import Echelon, diagonal_form_rank, rank
 from .matrix import ExactMatrix
 
 # a factor column: {key: coefficient}, keyed as in the module docstring
@@ -174,25 +191,65 @@ def _images(
     return out
 
 
-def _harmonic_factor(first: Element, second: Element) -> Callable[[Element], Column]:
-    """e -> the stacked column (Q(first e), Q(second e)): the coefficient of
-    h_d in Q(first e) under the key 2d and in Q(second e) under 2d + 1.  It
-    has at most one key per term of each symbol."""
+class _HarmonicFactor:
+    """The stacked columns (Q(first e), Q(second e)) of the basis vectors,
+    kept by exponent pair, and a maximal independent set of them that grows
+    with the order.
 
-    def column(e: Element) -> Column:
-        out = {2 * d: c for d, c in kernel.terms_harmonic_product(first._terms, e._terms).items()}
-        for d, c in kernel.terms_harmonic_product(second._terms, e._terms).items():
+    A column holds the coefficient of h_d in Q(first e) under the key 2d and
+    in Q(second e) under 2d + 1: at most one key per term of each symbol.
+    One Echelon takes each order's new exponent pairs (max(n, m) = N) once,
+    in basis order.  Its pivots never change once made, so the pivots, chosen
+    pairs and column keys of any order reached are prefixes of the current
+    ones, and the set chosen at order N contains the one chosen at N - 1.
+    """
+
+    def __init__(self, first: Element, second: Element):
+        self._first = first._terms
+        self._second = second._terms
+        self._memo: dict[Pair, Column] = {}
+        self.echelon = Echelon()
+        self._chosen: list[Pair] = []
+        # keys held by the columns, in order of appearance
+        self._keys: dict[int, None] = {}
+        # per order 1, 2, ...: (pairs chosen, keys held) through that order
+        self._sizes: list[tuple[int, int]] = []
+
+    def _column(self, e: Element) -> Column:
+        first = kernel.terms_harmonic_product(self._first, e._terms)
+        out = {2 * d: c for d, c in first.items()}
+        for d, c in kernel.terms_harmonic_product(self._second, e._terms).items():
             out[2 * d + 1] = c
         return out
 
-    return column
+    def columns(self, basis: TruncatedBasis) -> list[Column]:
+        """The column of every basis vector, in basis order."""
+        every = range(len(basis))
+        return list(_images(self._memo, basis, self._column, every).values())
+
+    def selection(self, basis: TruncatedBasis) -> tuple[list[Pair], list[int]]:
+        """The chosen exponent pairs and the column keys at the basis's order."""
+        while len(self._sizes) < basis.order:
+            top = len(self._sizes) + 1
+            new = [basis.index(n, top) for n in range(1, top)]
+            new += [basis.index(top, m) for m in range(1, top + 1)]
+            for i, column in _images(self._memo, basis, self._column, new).items():
+                self._keys.update(dict.fromkeys(column))
+                if self.echelon.add(column):
+                    self._chosen.append(basis.pairs[i])
+            self._sizes.append((len(self._chosen), len(self._keys)))
+        chosen, keys = self._sizes[basis.order - 1]
+        return self._chosen[:chosen], list(self._keys)[:keys]
+
+    def indices(self, basis: TruncatedBasis) -> list[int]:
+        """The chosen basis indices at the basis's order, increasing."""
+        return sorted(basis.index(n, m) for n, m in self.selection(basis)[0])
 
 
-def _factor(
-    memo: dict[Pair, Column], basis: TruncatedBasis, column: Callable[[Element], Column]
-) -> list[Column]:
-    """column(e) for every basis vector, in basis order."""
-    return list(_images(memo, basis, column, range(len(basis))).values())
+def _inverse_weight(key: int) -> int:
+    """G^-1 at a factor key: |d| + 1 for the first half, -(|d| + 1) for the second."""
+    weight = abs(key >> 1) + 1
+    return -weight if key & 1 else weight
 
 
 def _fill(
@@ -231,52 +288,46 @@ def _fill(
 
 class SelfcommAssembly:
     """Self-commutator form matrices of one symbol at any truncation order,
-    and their ranks through the core.
+    and their ranks, both from the factor columns.
 
-    Images, factor columns and entries are kept by exponent pair, so a run
-    over orders 1..N computes each of them once.
+    Factor columns and entries are kept by exponent pair, and one selection
+    of independent columns grows with the order, so a run over orders 1..N
+    computes each of them once.
     """
 
     def __init__(self, phi: Element):
-        self._phi = phi
-        self._adjoint = adjoint_symbol(phi)
         self._shifts = _differences(_frequencies(phi))
-        self._u: dict[Pair, Element] = {}
-        self._v: dict[Pair, Element] = {}
         self._entries: dict[tuple[Pair, Pair], GaussianRational] = {}
         # M_j = (Q(conj(phi) e_j), Q(phi e_j)), the factor of the form
-        self._column_factor = _harmonic_factor(self._adjoint, phi)
-        self._columns: dict[Pair, Column] = {}
-
-    def _form(self, basis: TruncatedBasis, indices: Sequence[int]) -> ExactMatrix:
-        """A[indices, indices]."""
-        u = _images(self._u, basis, lambda e: apply(self._phi, e), indices)
-        v = _images(self._v, basis, lambda e: apply(self._adjoint, e), indices)
-        return _fill(
-            basis,
-            indices,
-            indices,
-            self._shifts,
-            self._entries,
-            lambda i, j: inner_product(u[j], u[i]) - inner_product(v[j], v[i]),
-            hermitian=True,
-        )
+        self._factor = _HarmonicFactor(adjoint_symbol(phi), phi)
 
     def matrix(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See selfcomm_form_matrix."""
         basis = _basis(order)
-        return self._form(basis, range(len(basis)))
+        every = range(len(basis))
+        columns = self.factor(basis)
+        return _fill(
+            basis,
+            every,
+            every,
+            self._shifts,
+            self._entries,
+            lambda i, j: kernel.factor_form(columns[i], columns[j]),
+            hermitian=True,
+        )
 
     def factor(self, order: int | TruncatedBasis) -> list[Column]:
         """The factor columns M_j = (Q(conj(phi) e_j), Q(phi e_j)) in basis
         order, keyed as in the module docstring."""
-        return _factor(self._columns, _basis(order), self._column_factor)
+        return self._factor.columns(_basis(order))
 
     def rank(self, order: int | TruncatedBasis) -> int:
-        """Rank of the form matrix at this order: the rank of A[S, S] for a
-        maximal independent set S of the factor columns."""
-        basis = _basis(order)
-        return rank(self._form(basis, independent_columns(self.factor(basis))))
+        """Rank of the form matrix at this order, by the inertia formula on
+        the complement of the factor's range (module docstring)."""
+        chosen, keys = self._factor.selection(_basis(order))
+        return diagonal_form_rank(
+            self._factor.echelon, keys, _inverse_weight, len(chosen)
+        )
 
 
 def selfcomm_form_matrix(phi: Element, order: int | TruncatedBasis) -> ExactMatrix:
@@ -306,10 +357,8 @@ class CommutatorAssembly:
         self._gram: dict[tuple[Pair, Pair], GaussianRational] = {}
         # w_j depends on e_j through (Q(phi e_j), Q(psi e_j)), and row i of the
         # pairing on e_i through (Q(conj(phi) e_i), Q(conj(psi) e_i))
-        self._column_factor = _harmonic_factor(phi, psi)
-        self._row_factor = _harmonic_factor(adjoint_symbol(phi), adjoint_symbol(psi))
-        self._columns: dict[Pair, Column] = {}
-        self._rows: dict[Pair, Column] = {}
+        self._columns = _HarmonicFactor(phi, psi)
+        self._rows = _HarmonicFactor(adjoint_symbol(phi), adjoint_symbol(psi))
 
     def _images(self, basis: TruncatedBasis, indices: Sequence[int]) -> dict[int, Element]:
         phi, psi = self._phi, self._psi
@@ -367,10 +416,7 @@ class CommutatorAssembly:
         (Q(conj(phi) e_i), Q(conj(psi) e_i)) in basis order, keyed as in the
         module docstring."""
         basis = _basis(order)
-        return (
-            _factor(self._columns, basis, self._column_factor),
-            _factor(self._rows, basis, self._row_factor),
-        )
+        return self._columns.columns(basis), self._rows.columns(basis)
 
     def ranks(self, order: int | TruncatedBasis) -> tuple[int, int]:
         """Ranks of the pairing and the range Gram at this order: the ranks of
@@ -378,7 +424,8 @@ class CommutatorAssembly:
         columns (Q(phi e_j), Q(psi e_j)) and T one of the rows
         (Q(conj(phi) e_i), Q(conj(psi) e_i))."""
         basis = _basis(order)
-        cols, rows = (independent_columns(factor) for factor in self.factors(basis))
+        cols = self._columns.indices(basis)
+        rows = self._rows.indices(basis)
         return (
             rank(self._pairing_block(basis, rows, cols)),
             rank(self._gram_block(basis, cols)),

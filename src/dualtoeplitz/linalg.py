@@ -10,12 +10,23 @@ Bareiss division by the previous pivot is exact by Sylvester's identity and
 checked, so a kernel bug raises instead of giving a wrong rank.  No floating
 point anywhere.
 
-The engine's ranks run this elimination on a core.  If A = M^H G M and S
-is a maximal independent set of M's columns, then M = M[:, S] C where C has
-full row rank (its columns on S form the identity), so A = C^H A[S, S] C
-and rank A <= rank A[S, S]; A[S, S] is a submatrix of A, so the ranks are
-equal.  Likewise B = E^H K M with E = E[:, T] F gives B = F^H B[T, S] C.
-independent_columns finds S (and T) by sparse row-echelon elimination.
+One sparse row-echelon routine, Echelon, serves every factored form.  It
+takes columns one at a time, so it can grow with the truncation order, and
+its pivots (leading entry 1, other keys above the lead) never change once
+made.  A column that reduces to nothing depends on the ones before it; the
+others make the pivots and name a maximal independent set S.  Back
+substitution through the pivots gives a basis of the orthogonal complement
+of their span, one vector per key that leads no pivot (Echelon.complement).
+
+For a Hermitian form A = M^H G M with G real diagonal, diagonal_form_rank
+gets rank A from that complement alone: 2|S| - K + rank(N^H G^-1 N), K the
+number of keys, N the complement basis (the proof is in the engine).  A form
+whose middle factor is not diagonal, like the commutator pairing B = E^H K M,
+runs the elimination on a core instead.  If S is a maximal independent set
+of M's columns, then M = M[:, S] C where C has full row rank (its columns on
+S form the identity), so A = C^H A[S, S] C and rank A <= rank A[S, S];
+A[S, S] is a submatrix of A, so the ranks are equal.  Likewise
+E = E[:, T] F gives B = F^H B[T, S] C.
 """
 
 from __future__ import annotations
@@ -23,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
-from ._kernel import GR_ONE as _ONE, GR_ZERO as _ZERO, GaussianRational
+from ._kernel import GR_ONE as _ONE, GR_ZERO as _ZERO, GaussianRational, _norm
 from .matrix import ExactMatrix
 
 
@@ -67,8 +78,8 @@ def realify(h: HermitianForm | ExactMatrix) -> ExactMatrix:
             if c.is_zero:
                 # the four entries stay the exact zeros of ExactMatrix.zeros
                 continue
-            x = GaussianRational(c.re)
-            y = GaussianRational(c.im)
+            x = _norm(c.num_re, 0, c.den)
+            y = _norm(c.num_im, 0, c.den)
             out.data[i][j] = x
             out.data[n + i][n + j] = x
             out.data[i][n + j] = -y
@@ -188,21 +199,30 @@ def _indefinite(
     return PsdResult(is_psd=False, witness=witness, value=value.re)
 
 
-def independent_columns(columns: Iterable[dict]) -> list[int]:
-    """Positions of a maximal linearly independent set of sparse columns.
+class Echelon:
+    """Sparse row-echelon form of a growing list of columns.
 
-    A column maps orderable row keys to GaussianRational entries.  The
-    columns are taken in order and brought to row-echelon form: the
-    smallest key of a partly reduced column names the one pivot that can
-    cancel it, so only keys the column holds are looked up, and pivots are
-    never back-substituted.  A column that reduces to zero depends on the
-    chosen ones before it; otherwise it is chosen and its reduced form,
-    scaled to a leading 1, becomes the pivot of its smallest key.
+    A column maps orderable row keys to GaussianRational entries.  Each
+    column added is reduced against the pivots: the smallest key of a partly
+    reduced column names the one pivot that can cancel it, so only keys the
+    column holds are looked up, and pivots are never back-substituted or
+    changed once made.  A column that reduces to zero depends on the columns
+    added before it; otherwise its reduced form, scaled to a leading 1,
+    becomes the pivot of its smallest key.  So the first r pivots span the
+    columns added up to the one that made the r-th pivot.
     """
-    # leading key -> the pivot's other entries (its leading entry is 1)
-    pivots: dict = {}
-    chosen = []
-    for j, column in enumerate(columns):
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        # leading key -> the pivot's other entries (its leading entry is 1),
+        # in the order the pivots were made
+        self.pivots: dict = {}
+
+    def add(self, column: dict) -> bool:
+        """Reduce a column; True when it is independent of the columns added
+        before it and has made a pivot."""
+        pivots = self.pivots
         v = {key: c for key, c in column.items() if not c.is_zero}
         while v:
             lead = min(v)
@@ -210,8 +230,7 @@ def independent_columns(columns: Iterable[dict]) -> list[int]:
             if pivot is None:
                 scale = v.pop(lead).inverse()
                 pivots[lead] = {key: c * scale for key, c in v.items()}
-                chosen.append(j)
-                break
+                return True
             s = v.pop(lead)
             for key, c in pivot.items():
                 x = v.get(key)
@@ -223,7 +242,87 @@ def independent_columns(columns: Iterable[dict]) -> list[int]:
                         del v[key]
                     else:
                         v[key] = x
-    return chosen
+        return False
+
+    def complement(self, keys: Iterable, count: int | None = None) -> list[dict]:
+        """A basis of the vectors y on ``keys`` orthogonal to the first
+        ``count`` pivots (all of them by default), one per free key.
+
+        ``keys`` holds every key of those pivots.  The pivot that leads at l
+        is e_l + sum_k p[k] e_k with every k > l, so y is orthogonal to it
+        iff y_l = -sum_k conj(p[k]) y_k.  For a free key f, one that leads
+        none of the pivots, y_f = 1 and the other free keys are 0; then each
+        lead, in decreasing order, is fixed from keys above it already set.
+        """
+        pivots = list(self.pivots.items())[:count]
+        pivots.sort(key=lambda item: item[0], reverse=True)
+        leads = {lead for lead, _ in pivots}
+        basis = []
+        for free in keys:
+            if free in leads:
+                continue
+            y = {free: _ONE}
+            for lead, pivot in pivots:
+                acc = _ZERO
+                for key, c in pivot.items():
+                    x = y.get(key)
+                    if x is not None:
+                        acc = acc + c.conjugate() * x
+                if not acc.is_zero:
+                    y[lead] = -acc
+            basis.append(y)
+        return basis
+
+
+def independent_columns(columns: Iterable[dict]) -> list[int]:
+    """Positions of a maximal linearly independent set of sparse columns,
+    taken greedily in order through one Echelon."""
+    echelon = Echelon()
+    return [j for j, column in enumerate(columns) if echelon.add(column)]
+
+
+def diagonal_form_rank(
+    echelon: Echelon, keys: Sequence, inverse_weight: Callable[[object], int], count: int
+) -> int:
+    """rank M^H G M for a real diagonal G, from the echelon of M's columns.
+
+    ``count`` is dim V for V = range M, spanned by the echelon's first
+    ``count`` pivots, ``keys`` are the K rows M's columns hold, and
+    G^-1 = diag(inverse_weight(key)), nonzero ints.  With N a basis of
+    V^perp (Echelon.complement),
+
+        rank M^H G M = 2 dim V - K + rank(N^H G^-1 N).
+    """
+    # the Gram of the complement in G^-1, each vector scaled to Gaussian
+    # integers (which keeps the rank): ints only
+    vectors = []
+    for y in echelon.complement(keys, count):
+        scale = lcm(*(c.den for c in y.values()))
+        vectors.append(
+            {
+                key: (c.num_re * (scale // c.den), c.num_im * (scale // c.den))
+                for key, c in y.items()
+            }
+        )
+    weight = {key: inverse_weight(key) for key in keys}
+    size = len(vectors)
+    gram = ExactMatrix.zeros(size, size)
+    for a, ya in enumerate(vectors):
+        for b in range(a, size):
+            yb = vectors[b]
+            re = im = 0
+            for key, (p, q) in ya.items():
+                other = yb.get(key)
+                if other is not None:
+                    r, s = other
+                    w = weight[key]
+                    # (p - qi)(r + si)
+                    re += w * (p * r + q * s)
+                    im += w * (p * s - q * r)
+            if re or im:
+                gram.data[a][b] = GaussianRational._raw(re, im, 1)
+                gram.data[b][a] = GaussianRational._raw(re, -im, 1)
+    return 2 * count - len(keys) + rank(gram)
 
 
 def rank(m: ExactMatrix) -> int:

@@ -39,7 +39,7 @@ from dualtoeplitz import (
 )
 from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
-from dualtoeplitz.linalg import independent_columns
+from dualtoeplitz.linalg import Echelon, diagonal_form_rank, independent_columns
 
 from oracle_rank import bruteforce_rank, matrix_to_pairs
 
@@ -553,3 +553,138 @@ class TestHarmonicCore:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert cli.main(argv) == 0
         assert json.loads(out.getvalue())["diagnostics"]["rank"] == 44
+
+
+def _with_constant(terms, constant):
+    return Element(terms) + Element.monomial(0, 0, constant)
+
+
+constants = st.one_of(st.just(GaussianRational(0)), scalars)
+harmonic_terms = st.lists(
+    st.tuples(
+        st.one_of(
+            st.builds(lambda n: (n, 0), exponents),
+            st.builds(lambda m: (0, m), exponents),
+        ),
+        scalars,
+    ),
+    max_size=3,
+)
+radial_terms = st.lists(
+    st.tuples(st.builds(lambda n: (n, n), exponents), scalars), max_size=3
+)
+
+
+@st.composite
+def affine_real(draw):
+    """alpha h + beta with h = c z^n zb^m + conj(c) z^m zb^n real-valued:
+    S_h is self-adjoint, so the form is zero at every order."""
+    n, m = draw(exponents), draw(exponents)
+    c, alpha, beta = draw(scalars), draw(scalars), draw(scalars)
+    h = Element.monomial(n, m, c) + Element.monomial(m, n, c.conjugate())
+    return h.scale(alpha) + Element.monomial(0, 0, beta)
+
+
+# mixed frequencies, harmonic and radial symbols, and normal ones, each with
+# or without a constant term
+factor_symbols = st.one_of(
+    symbols,
+    st.builds(_with_constant, harmonic_terms, constants),
+    st.builds(_with_constant, radial_terms, constants),
+    affine_real(),
+)
+
+
+def _triple(c):
+    return (c.num_re, c.num_im, c.den)
+
+
+def _inverse_weight(key):
+    # G^-1 on the factor keys: +(|d|+1) on 2d, -(|d|+1) on 2d + 1
+    return -(abs(key >> 1) + 1) if key & 1 else abs(key >> 1) + 1
+
+
+def _fresh_rank(columns):
+    """The inertia rank from a fresh echelon over these columns in order."""
+    echelon = Echelon()
+    chosen = [j for j, column in enumerate(columns) if echelon.add(column)]
+    keys = sorted({key for column in columns for key in column})
+    return diagonal_form_rank(echelon, keys, _inverse_weight, len(chosen))
+
+
+class TestFactorForm:
+    """The self-commutator form from its harmonic factor: entries as factor
+    dot products, the rank by inertia on the factor's complement, and the
+    echelon kept across orders."""
+
+    @HYP
+    @given(factor_symbols, st.integers(min_value=1, max_value=4))
+    @example(parse_symbol("(-12/13+5/13i) zb^2 + (3/5-4/5i) z + 1/2"), 4)
+    def test_entries_match_image_inner_products(self, phi, order):
+        basis = build_basis(order)
+        bar = adjoint_symbol(phi)
+        u = [apply(phi, e) for e in basis.vectors]
+        v = [apply(bar, e) for e in basis.vectors]
+        a = SelfcommAssembly(phi).matrix(basis)
+        for i in range(len(basis)):
+            for j in range(len(basis)):
+                want = inner_product(u[j], u[i]) - inner_product(v[j], v[i])
+                assert _triple(a[i, j]) == _triple(want)
+
+    @HYP
+    @given(factor_symbols, orders)
+    @example(parse_symbol("0"), 3)
+    @example(parse_symbol("(5/2-3i)"), 3)
+    @example(parse_symbol("2 z zb - 3 z^2 zb^2 + 1/2"), 5)
+    @example(parse_symbol("(3/5+4/5i) z^2 zb + (3/5-4/5i) z zb^2"), 5)
+    def test_inertia_rank_matches_oracles(self, phi, order):
+        a = selfcomm_form_matrix(phi, order)
+        got = SelfcommAssembly(phi).rank(order)
+        assert got == rank(a)
+        assert got == bruteforce_rank(matrix_to_pairs(a))
+
+    @HYP
+    @given(factor_symbols, orders)
+    def test_complement_is_the_orthogonal_complement(self, phi, order):
+        columns = SelfcommAssembly(phi).factor(order)
+        echelon = Echelon()
+        chosen = [column for column in columns if echelon.add(column)]
+        keys = sorted({key for column in columns for key in column})
+        complement = echelon.complement(keys)
+        assert len(complement) == len(keys) - len(chosen)
+        zero = GaussianRational(0)
+        for y in complement:
+            assert set(y) <= set(keys)
+            for column in chosen:
+                # (M_S^H y)_j = sum_k conj(M_j[k]) y_k
+                dot = sum(
+                    (c.conjugate() * y.get(key, zero) for key, c in column.items()),
+                    start=zero,
+                )
+                assert dot.is_zero
+        assert bruteforce_rank(_dense(complement)) == len(complement)
+
+    def test_normal_symbol_has_a_wide_complement(self):
+        # A = 0, so 2|S| - K + rank(N^H G^-1 N) = 0 with K - |S| about K/2
+        phi = parse_symbol("(3/5+4/5i) z^2 zb + (3/5-4/5i) z zb^2 + 1")
+        columns = SelfcommAssembly(phi).factor(6)
+        keys = {key for column in columns for key in column}
+        chosen = independent_columns(columns)
+        assert SelfcommAssembly(phi).rank(6) == 0
+        assert 2 * (len(keys) - len(chosen)) >= len(keys) - 2
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(factor_symbols, symbols, st.lists(orders, min_size=1, max_size=6))
+    def test_incremental_matches_fresh_echelons(self, phi, psi, sequence):
+        forms = SelfcommAssembly(phi)
+        pair = CommutatorAssembly(phi, psi)
+        for order in sequence:
+            basis = build_basis(order)
+            assert forms.rank(basis) == _fresh_rank(SelfcommAssembly(phi).factor(basis))
+            b, gram = commutator_matrices(phi, psi, basis)
+            assert pair.ranks(basis) == (rank(b), rank(gram))
+
+    def test_large_order_rank_pinned(self):
+        # 4N + 4 at N = 24 (rank 100 of 576), found by the core path of
+        # rank A[S, S] with Bareiss elimination
+        assert SelfcommAssembly(parse_symbol(WIDE_TOP)).rank(24) == 100

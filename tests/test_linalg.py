@@ -21,7 +21,7 @@ from dualtoeplitz import (
     realify,
     selfcomm_form_matrix,
 )
-from dualtoeplitz.linalg import independent_columns
+from dualtoeplitz.linalg import Echelon, diagonal_form_rank, independent_columns
 
 from oracle_rank import bruteforce_rank, matrix_to_pairs
 
@@ -362,6 +362,69 @@ class TestIndependentColumns:
         both = {0: gr(3), 1: gr(-1, 1)}
         assert independent_columns([{}, e0, both, e1, {5: gr(0)}]) == [1, 2]
         assert independent_columns([e1, e0, both]) == [0, 1]
+
+
+def _dense_rows(columns, keys):
+    return [[(c.get(k, gr(0)).re, c.get(k, gr(0)).im) for c in columns] for k in keys]
+
+
+class TestEchelonComplement:
+    """Echelon.complement is a basis of the orthogonal complement of the
+    columns' span, and diagonal_form_rank is the rank of M^H G M."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(sparse_columns())
+    def test_complement_basis(self, columns):
+        keys = sorted({k for column in columns for k in column})
+        echelon = Echelon()
+        chosen = [j for j, column in enumerate(columns) if echelon.add(column)]
+        complement = echelon.complement(keys)
+        assert len(complement) == len(keys) - len(chosen)
+        for y in complement:
+            for column in columns:
+                dot = sum(
+                    (c.conjugate() * y.get(k, gr(0)) for k, c in column.items()),
+                    start=gr(0),
+                )
+                assert dot.is_zero
+        assert bruteforce_rank(_dense_rows(complement, keys)) == len(complement)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(sparse_columns(), st.lists(st.sampled_from([-3, -2, -1, 1, 2, 4]), min_size=7, max_size=7))
+    def test_diagonal_form_rank(self, columns, weights):
+        keys = sorted({k for column in columns for k in column})
+        inverse_weight = {k: weights[k + 3] for k in range(-3, 4)}
+        echelon = Echelon()
+        count = sum(echelon.add(column) for column in columns)
+        got = diagonal_form_rank(echelon, keys, inverse_weight.__getitem__, count)
+        # M^H G M with G = diag(1 / inverse_weight), in Fraction pairs
+        form = [
+            [
+                sum(
+                    (
+                        (ci.get(k, gr(0)).conjugate() * cj.get(k, gr(0)))
+                        * gr(Fraction(1, inverse_weight[k]))
+                        for k in keys
+                    ),
+                    start=gr(0),
+                )
+                for cj in columns
+            ]
+            for ci in columns
+        ]
+        assert got == bruteforce_rank([[(c.re, c.im) for c in row] for row in form])
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(sparse_columns(), sparse_columns())
+    def test_grown_echelon_keeps_its_prefix(self, first, second):
+        grown, fresh = Echelon(), Echelon()
+        count = sum(grown.add(column) for column in first)
+        for column in first:
+            fresh.add(column)
+        for column in second:
+            grown.add(column)
+        keys = sorted({k for column in first for k in column})
+        assert grown.complement(keys, count) == fresh.complement(keys)
 
 
 big_fractions = st.builds(
