@@ -41,28 +41,30 @@ first half, 2d + 1: in the second}: at most one key per term of each symbol.
 Every entry is the short dot product A[i][j] = <M_j, M_i>_G
 (_kernel.factor_form), and the images S_phi e_j are never formed.
 
-The rank needs no entries at all.  Let V = range M in C^K, K the number of
-keys the columns hold, and N a basis of V^perp = ker M^H.  Then
+The rank needs no entries at all.  With V = range M,
 
-    rank A = 2 dim V - K + rank(N^H G^-1 N).
+    rank A = dim(V + G^-1 V^perp) - dim V^perp
 
-Proof: rank A = dim V - dim R for the radical R = V cap G^-1 V^perp of G on
-V, and G^-1 N y lies in V = ker N^H iff N^H G^-1 N y = 0, so
-dim R = (K - dim V) - rank(N^H G^-1 N).  G^-1 = diag(+-(|d|+1)) holds only
-ints.  K - dim V was 2 to 4 at N >= 10 on the non-normal symbols tried,
-and about K/2 on normal ones, where A = 0.  V and N come from one
-linalg.Echelon of the columns, grown by each order's new exponent pairs
-(linalg.diagonal_form_rank).
+(linalg.factored_rank, which has the proof), found from one linalg.Echelon
+of the columns, grown by each order's new exponent pairs, and a basis of
+V^perp from back substitution through its pivots.  G^-1 = diag(+-(|d|+1))
+holds only ints.
 
-The commutator image w_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)), P the
-complement projection, depends on e_j only through the column
-(Q(phi e_j), Q(psi e_j)), and row i of the pairing through
-(Q(conj(phi) e_i), Q(conj(psi) e_i)), via the adjoint
-[S_phi, S_psi]* = [S_conj(psi), S_conj(phi)].  Its middle factor is not
-diagonal, so its ranks are those of the cores B[T, S] and Gram[S, S] (the
-proof is in linalg), with S a maximal independent set of the columns and T
-of the rows, of size O(N) instead of N^2.  Only the core entries are
-assembled.
+The commutator factors the same way.  With P the complement projection,
+w_j = [S_phi, S_psi] e_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)), and
+<P(psi h), e_i> = <h, Q(conj(psi) e_i)> for harmonic h, so
+
+    B[i][j] = <w_j, e_i>
+            = <Q(phi e_j), Q(conj(psi) e_i)> - <Q(psi e_j), Q(conj(phi) e_i)>.
+
+That is B = R^H G C with the same G, the column C_j = (Q(phi e_j), Q(psi e_j))
+and the row R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i)), both keyed as M: the
+entries are factor_form(R_i, C_j), and the rank is factored_rank on the two
+echelons.  The range Gram, Gram[i][j] = <w_j, w_i>, has the rank
+dim span{w_j}.  Since w_j depends linearly on C_j, that span is the span of
+the images of a maximal independent set S of the columns, and its dimension
+is the number of pivots those images make in an Echelon over their terms.
+Images are formed only for the range Gram and for S.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import _kernel as kernel
 from .algebra import Element, GaussianRational, complement_project, inner_product
-from .linalg import Echelon, diagonal_form_rank, rank
+from .linalg import Echelon, factored_rank
 from .matrix import ExactMatrix
 
 # a factor column: {key: coefficient}, keyed as in the module docstring
@@ -150,20 +152,15 @@ def _differences(shifts: set[int]) -> set[int]:
     return {a - b for a in shifts for b in shifts}
 
 
-def _allowed(
-    pairs: Sequence[Pair], rows: Sequence[int], cols: Sequence[int], shifts: set[int]
-) -> Iterator[tuple[int, int, int, int]]:
-    """Positions (r, c) and basis indices (i, j) = (rows[r], cols[c]) with
-    d_i - d_j in shifts; every other entry is zero."""
-    by_frequency: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for c, j in enumerate(cols):
-        n, m = pairs[j]
-        by_frequency[n - m].append((c, j))
-    for r, i in enumerate(rows):
-        n, m = pairs[i]
+def _allowed(pairs: Sequence[Pair], shifts: set[int]) -> Iterator[tuple[int, int]]:
+    """Basis indices (i, j) with d_i - d_j in shifts; every other entry is zero."""
+    by_frequency: dict[int, list[int]] = defaultdict(list)
+    for j, (n, m) in enumerate(pairs):
+        by_frequency[n - m].append(j)
+    for i, (n, m) in enumerate(pairs):
         for s in shifts:
-            for c, j in by_frequency.get(n - m - s, ()):
-                yield r, c, i, j
+            for j in by_frequency.get(n - m - s, ()):
+                yield i, j
 
 
 Pair = tuple[int, int]
@@ -241,10 +238,6 @@ class _HarmonicFactor:
         chosen, keys = self._sizes[basis.order - 1]
         return self._chosen[:chosen], list(self._keys)[:keys]
 
-    def indices(self, basis: TruncatedBasis) -> list[int]:
-        """The chosen basis indices at the basis's order, increasing."""
-        return sorted(basis.index(n, m) for n, m in self.selection(basis)[0])
-
 
 def _inverse_weight(key: int) -> int:
     """G^-1 at a factor key: |d| + 1 for the first half, -(|d| + 1) for the second."""
@@ -254,24 +247,21 @@ def _inverse_weight(key: int) -> int:
 
 def _fill(
     basis: TruncatedBasis,
-    rows: Sequence[int],
-    cols: Sequence[int],
     shifts: set[int],
     memo: dict[tuple[Pair, Pair], GaussianRational],
     entry: Callable[[int, int], GaussianRational],
     hermitian: bool,
 ) -> ExactMatrix:
-    """The submatrix on the basis indices rows x cols (both increasing):
-    entry(i, j) on the allowed pairs, computed once per pair of exponent
-    pairs.  A Hermitian matrix (rows == cols) computes j >= i and conjugates
-    below the diagonal; the lexicographic basis order makes j >= i the same
-    condition at every truncation order.  Zero entries and real mirror entries
-    share one object, so keeping entries across orders costs no more memory
-    than one matrix."""
+    """The matrix on the basis: entry(i, j) on the allowed pairs, computed
+    once per pair of exponent pairs.  A Hermitian matrix computes j >= i and
+    conjugates below the diagonal; the lexicographic basis order makes j >= i
+    the same condition at every truncation order.  Zero entries and real
+    mirror entries share one object, so keeping entries across orders costs
+    no more memory than one matrix."""
     pairs = basis.pairs
-    a = ExactMatrix.zeros(len(rows), len(cols))
-    for r, c, i, j in _allowed(pairs, rows, cols, shifts):
-        if hermitian and c < r:
+    a = ExactMatrix.zeros(len(pairs), len(pairs))
+    for i, j in _allowed(pairs, shifts):
+        if hermitian and j < i:
             continue
         key = (pairs[i], pairs[j])
         value = memo.get(key)
@@ -280,9 +270,9 @@ def _fill(
             if value.is_zero:
                 value = kernel.GR_ZERO
             memo[key] = value
-        a.data[r][c] = value
-        if hermitian and r != c:
-            a.data[c][r] = value if value.is_real else value.conjugate()
+        a.data[i][j] = value
+        if hermitian and i != j:
+            a.data[j][i] = value if value.is_real else value.conjugate()
     return a
 
 
@@ -304,12 +294,9 @@ class SelfcommAssembly:
     def matrix(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See selfcomm_form_matrix."""
         basis = _basis(order)
-        every = range(len(basis))
         columns = self.factor(basis)
         return _fill(
             basis,
-            every,
-            every,
             self._shifts,
             self._entries,
             lambda i, j: kernel.factor_form(columns[i], columns[j]),
@@ -322,11 +309,12 @@ class SelfcommAssembly:
         return self._factor.columns(_basis(order))
 
     def rank(self, order: int | TruncatedBasis) -> int:
-        """Rank of the form matrix at this order, by the inertia formula on
-        the complement of the factor's range (module docstring)."""
+        """Rank of the form matrix at this order, from the factor's echelon
+        alone (module docstring)."""
         chosen, keys = self._factor.selection(_basis(order))
-        return diagonal_form_rank(
-            self._factor.echelon, keys, _inverse_weight, len(chosen)
+        echelon = self._factor.echelon
+        return factored_rank(
+            echelon, len(chosen), echelon, len(chosen), keys, _inverse_weight
         )
 
 
@@ -342,9 +330,9 @@ def selfcomm_form_matrix(phi: Element, order: int | TruncatedBasis) -> ExactMatr
 
 class CommutatorAssembly:
     """Commutator pairing and range Gram of a symbol pair at any truncation
-    order, and their ranks through the core, with the images
-    w_j = (S_phi S_psi - S_psi S_phi) e_j, the factor columns and the entries
-    kept by exponent pair across orders."""
+    order, and their ranks from the factors, with the factor columns, the
+    images w_j = (S_phi S_psi - S_psi S_phi) e_j and the entries kept by
+    exponent pair across orders."""
 
     def __init__(self, phi: Element, psi: Element):
         self._phi = phi
@@ -355,12 +343,14 @@ class CommutatorAssembly:
         self._w: dict[Pair, Element] = {}
         self._pairing: dict[tuple[Pair, Pair], GaussianRational] = {}
         self._gram: dict[tuple[Pair, Pair], GaussianRational] = {}
-        # w_j depends on e_j through (Q(phi e_j), Q(psi e_j)), and row i of the
-        # pairing on e_i through (Q(conj(phi) e_i), Q(conj(psi) e_i))
+        # B = R^H G C with C_j = (Q(phi e_j), Q(psi e_j)) and
+        # R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i))
         self._columns = _HarmonicFactor(phi, psi)
-        self._rows = _HarmonicFactor(adjoint_symbol(phi), adjoint_symbol(psi))
+        self._rows = _HarmonicFactor(adjoint_symbol(psi), adjoint_symbol(phi))
 
-    def _images(self, basis: TruncatedBasis, indices: Sequence[int]) -> dict[int, Element]:
+    def _images(
+        self, basis: TruncatedBasis, indices: Iterable[int]
+    ) -> dict[int, Element]:
         phi, psi = self._phi, self._psi
         return _images(
             self._w,
@@ -369,42 +359,29 @@ class CommutatorAssembly:
             indices,
         )
 
-    def _pairing_block(
-        self, basis: TruncatedBasis, rows: Sequence[int], cols: Sequence[int]
-    ) -> ExactMatrix:
-        w = self._images(basis, cols)
+    def pairing(self, order: int | TruncatedBasis) -> ExactMatrix:
+        """See commutator_matrix."""
+        basis = _basis(order)
+        columns, rows = self.factors(basis)
         return _fill(
             basis,
-            rows,
-            cols,
             self._shifts,
             self._pairing,
-            lambda i, j: inner_product(w[j], basis.vectors[i]),
+            lambda i, j: kernel.factor_form(rows[i], columns[j]),
             hermitian=False,
         )
 
-    def _gram_block(self, basis: TruncatedBasis, indices: Sequence[int]) -> ExactMatrix:
-        w = self._images(basis, indices)
+    def range_gram(self, order: int | TruncatedBasis) -> ExactMatrix:
+        """See commutator_range_gram."""
+        basis = _basis(order)
+        w = self._images(basis, range(len(basis)))
         return _fill(
             basis,
-            indices,
-            indices,
             self._gram_shifts,
             self._gram,
             lambda i, j: inner_product(w[j], w[i]),
             hermitian=True,
         )
-
-    def pairing(self, order: int | TruncatedBasis) -> ExactMatrix:
-        """See commutator_matrix."""
-        basis = _basis(order)
-        every = range(len(basis))
-        return self._pairing_block(basis, every, every)
-
-    def range_gram(self, order: int | TruncatedBasis) -> ExactMatrix:
-        """See commutator_range_gram."""
-        basis = _basis(order)
-        return self._gram_block(basis, range(len(basis)))
 
     def matrices(self, order: int | TruncatedBasis) -> tuple[ExactMatrix, ExactMatrix]:
         """The pairing and the range Gram at one order."""
@@ -412,30 +389,36 @@ class CommutatorAssembly:
         return self.pairing(basis), self.range_gram(basis)
 
     def factors(self, order: int | TruncatedBasis) -> tuple[list[Column], list[Column]]:
-        """The column factors (Q(phi e_j), Q(psi e_j)) and the row factors
-        (Q(conj(phi) e_i), Q(conj(psi) e_i)) in basis order, keyed as in the
-        module docstring."""
+        """The column factors C_j = (Q(phi e_j), Q(psi e_j)) and the row
+        factors R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i)) in basis order,
+        keyed as in the module docstring."""
         basis = _basis(order)
         return self._columns.columns(basis), self._rows.columns(basis)
 
     def ranks(self, order: int | TruncatedBasis) -> tuple[int, int]:
-        """Ranks of the pairing and the range Gram at this order: the ranks of
-        B[T, S] and Gram[S, S], with S a maximal independent set of the
-        columns (Q(phi e_j), Q(psi e_j)) and T one of the rows
-        (Q(conj(phi) e_i), Q(conj(psi) e_i))."""
+        """Ranks of the pairing and the range Gram at this order: factored_rank
+        of R^H G C, and the dimension of the span of the images w_j over a
+        maximal independent set S of the columns C_j."""
         basis = _basis(order)
-        cols = self._columns.indices(basis)
-        rows = self._rows.indices(basis)
-        return (
-            rank(self._pairing_block(basis, rows, cols)),
-            rank(self._gram_block(basis, cols)),
+        chosen, column_keys = self._columns.selection(basis)
+        row_chosen, row_keys = self._rows.selection(basis)
+        pairing_rank = factored_rank(
+            self._columns.echelon,
+            len(chosen),
+            self._rows.echelon,
+            len(row_chosen),
+            list(dict.fromkeys(row_keys + column_keys)),
+            _inverse_weight,
         )
+        span = Echelon()
+        images = self._images(basis, (basis.index(n, m) for n, m in chosen))
+        return pairing_rank, sum(span.add(w._terms) for w in images.values())
 
 
 def commutator_matrices(
     phi: Element, psi: Element, order: int | TruncatedBasis
 ) -> tuple[ExactMatrix, ExactMatrix]:
-    """commutator_matrix and commutator_range_gram from one pass over the images."""
+    """commutator_matrix and commutator_range_gram of one assembly."""
     return CommutatorAssembly(phi, psi).matrices(order)
 
 

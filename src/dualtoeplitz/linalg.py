@@ -18,21 +18,26 @@ others make the pivots and name a maximal independent set S.  Back
 substitution through the pivots gives a basis of the orthogonal complement
 of their span, one vector per key that leads no pivot (Echelon.complement).
 
-For a Hermitian form A = M^H G M with G real diagonal, diagonal_form_rank
-gets rank A from that complement alone: 2|S| - K + rank(N^H G^-1 N), K the
-number of keys, N the complement basis (the proof is in the engine).  A form
-whose middle factor is not diagonal, like the commutator pairing B = E^H K M,
-runs the elimination on a core instead.  If S is a maximal independent set
-of M's columns, then M = M[:, S] C where C has full row rank (its columns on
-S form the identity), so A = C^H A[S, S] C and rank A <= rank A[S, S];
-A[S, S] is a submatrix of A, so the ranks are equal.  Likewise
-E = E[:, T] F gives B = F^H B[T, S] C.
+A form B = R^H G C with G real diagonal gets its rank from two such
+echelons, those of V_C = range C and V_R = range R, with no entry of B
+(factored_rank):
+
+    rank B = dim(V_C + G^-1 V_R^perp) - dim V_R^perp.
+
+Proof: R^H G C x = 0 iff G C x lies in ker R^H = V_R^perp, that is iff C x
+lies in W = G^-1 V_R^perp.  So rank B = dim V_C - dim(V_C cap W), and
+dim(V_C cap W) = dim V_C + dim W - dim(V_C + W), with dim W = dim V_R^perp
+since G is invertible.  A Hermitian form A = M^H G M is the case R = C = M.
+
+The elimination on whole matrices, rank(), is the route the classifier, the
+verify suites and the tests use as an independent cross-check of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -274,55 +279,34 @@ class Echelon:
         return basis
 
 
-def independent_columns(columns: Iterable[dict]) -> list[int]:
-    """Positions of a maximal linearly independent set of sparse columns,
-    taken greedily in order through one Echelon."""
-    echelon = Echelon()
-    return [j for j, column in enumerate(columns) if echelon.add(column)]
-
-
-def diagonal_form_rank(
-    echelon: Echelon, keys: Sequence, inverse_weight: Callable[[object], int], count: int
+def factored_rank(
+    columns: Echelon,
+    count: int,
+    rows: Echelon,
+    row_count: int,
+    keys: Sequence,
+    inverse_weight: Callable[[object], int],
 ) -> int:
-    """rank M^H G M for a real diagonal G, from the echelon of M's columns.
+    """rank R^H G C for a real diagonal G, from the echelons of C's and R's
+    columns.
 
-    ``count`` is dim V for V = range M, spanned by the echelon's first
-    ``count`` pivots, ``keys`` are the K rows M's columns hold, and
-    G^-1 = diag(inverse_weight(key)), nonzero ints.  With N a basis of
-    V^perp (Echelon.complement),
+    V_C = range C is spanned by the first ``count`` pivots of ``columns`` and
+    V_R = range R by the first ``row_count`` of ``rows``; ``keys`` holds every
+    key that the columns of either factor hold, and
+    G^-1 = diag(inverse_weight(key)), nonzero ints.  Then
 
-        rank M^H G M = 2 dim V - K + rank(N^H G^-1 N).
+        rank R^H G C = dim(V_C + G^-1 V_R^perp) - dim V_R^perp,
+
+    found by adding G^-1 times the complement basis of V_R
+    (Echelon.complement) to a copy of V_C's pivots.
     """
-    # the Gram of the complement in G^-1, each vector scaled to Gaussian
-    # integers (which keeps the rank): ints only
-    vectors = []
-    for y in echelon.complement(keys, count):
-        scale = lcm(*(c.den for c in y.values()))
-        vectors.append(
-            {
-                key: (c.num_re * (scale // c.den), c.num_im * (scale // c.den))
-                for key, c in y.items()
-            }
-        )
-    weight = {key: inverse_weight(key) for key in keys}
-    size = len(vectors)
-    gram = ExactMatrix.zeros(size, size)
-    for a, ya in enumerate(vectors):
-        for b in range(a, size):
-            yb = vectors[b]
-            re = im = 0
-            for key, (p, q) in ya.items():
-                other = yb.get(key)
-                if other is not None:
-                    r, s = other
-                    w = weight[key]
-                    # (p - qi)(r + si)
-                    re += w * (p * r + q * s)
-                    im += w * (p * s - q * r)
-            if re or im:
-                gram.data[a][b] = GaussianRational._raw(re, im, 1)
-                gram.data[b][a] = GaussianRational._raw(re, -im, 1)
-    return 2 * count - len(keys) + rank(gram)
+    span = Echelon()
+    # add makes new pivot dicts and never changes old ones, so sharing is safe
+    span.pivots = dict(islice(columns.pivots.items(), count))
+    complement = rows.complement(keys, row_count)
+    for y in complement:
+        span.add({key: c * inverse_weight(key) for key, c in y.items()})
+    return len(span.pivots) - len(complement)
 
 
 def rank(m: ExactMatrix) -> int:

@@ -39,7 +39,7 @@ from dualtoeplitz import (
 )
 from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
-from dualtoeplitz.linalg import Echelon, diagonal_form_rank, independent_columns
+from dualtoeplitz.linalg import Echelon, factored_rank
 
 from oracle_rank import bruteforce_rank, matrix_to_pairs
 
@@ -468,8 +468,14 @@ def _dense(columns):
     ]
 
 
+def _greedy(columns):
+    """Positions of the columns that make a pivot, added in order to one Echelon."""
+    echelon = Echelon()
+    return [j for j, column in enumerate(columns) if echelon.add(column)]
+
+
 def _independent_and_maximal(columns):
-    chosen = independent_columns(columns)
+    chosen = _greedy(columns)
     assert chosen == sorted(chosen)
     picked = [columns[j] for j in chosen]
     assert bruteforce_rank(_dense(picked)) == len(chosen)
@@ -512,8 +518,13 @@ class TestHarmonicCore:
             assert (q_phi, q_psi) == (harmonic_project(phi * e), harmonic_project(psi * e))
             w = apply(phi, apply(psi, e)) - apply(psi, apply(phi, e))
             assert w == complement_project(psi * q_phi) - complement_project(phi * q_psi)
-            # [S_phi, S_psi]* e = [S_conj(psi), S_conj(phi)] e
-            q_bar_phi, q_bar_psi = _halves(row)
+            # [S_phi, S_psi]* e = [S_conj(psi), S_conj(phi)] e, from the row
+            # halves (Q(conj(psi) e), Q(conj(phi) e))
+            q_bar_psi, q_bar_phi = _halves(row)
+            assert (q_bar_psi, q_bar_phi) == (
+                harmonic_project(bar_psi * e),
+                harmonic_project(bar_phi * e),
+            )
             adjoint_images.append(
                 complement_project(bar_phi * q_bar_psi)
                 - complement_project(bar_psi * q_bar_phi)
@@ -605,17 +616,17 @@ def _inverse_weight(key):
 
 
 def _fresh_rank(columns):
-    """The inertia rank from a fresh echelon over these columns in order."""
+    """The factored rank from a fresh echelon over these columns in order."""
     echelon = Echelon()
-    chosen = [j for j, column in enumerate(columns) if echelon.add(column)]
+    count = sum(echelon.add(column) for column in columns)
     keys = sorted({key for column in columns for key in column})
-    return diagonal_form_rank(echelon, keys, _inverse_weight, len(chosen))
+    return factored_rank(echelon, count, echelon, count, keys, _inverse_weight)
 
 
 class TestFactorForm:
-    """The self-commutator form from its harmonic factor: entries as factor
-    dot products, the rank by inertia on the factor's complement, and the
-    echelon kept across orders."""
+    """The self-commutator form and the commutator pairing from their harmonic
+    factors: entries as factor dot products, the rank from the factors'
+    echelons and complements, and the echelons kept across orders."""
 
     @HYP
     @given(factor_symbols, st.integers(min_value=1, max_value=4))
@@ -630,6 +641,24 @@ class TestFactorForm:
             for j in range(len(basis)):
                 want = inner_product(u[j], u[i]) - inner_product(v[j], v[i])
                 assert _triple(a[i, j]) == _triple(want)
+
+    @HYP
+    @given(factor_symbols, factor_symbols, st.integers(min_value=1, max_value=4))
+    @example(
+        parse_symbol("z^2 zb + z^3"),
+        parse_symbol("(-12/13+5/13i) zb^2 + 2 z zb + 1/2"),
+        4,
+    )
+    def test_commutator_entries_match_image_inner_products(self, phi, psi, order):
+        basis = build_basis(order)
+        w = [
+            apply(phi, apply(psi, e)) - apply(psi, apply(phi, e))
+            for e in basis.vectors
+        ]
+        b = CommutatorAssembly(phi, psi).pairing(basis)
+        for i, e in enumerate(basis.vectors):
+            for j in range(len(basis)):
+                assert _triple(b[i, j]) == _triple(inner_product(w[j], e))
 
     @HYP
     @given(factor_symbols, orders)
@@ -665,11 +694,11 @@ class TestFactorForm:
         assert bruteforce_rank(_dense(complement)) == len(complement)
 
     def test_normal_symbol_has_a_wide_complement(self):
-        # A = 0, so 2|S| - K + rank(N^H G^-1 N) = 0 with K - |S| about K/2
+        # A = 0, so V lies in G^-1 V^perp and K - |S| is about K/2
         phi = parse_symbol("(3/5+4/5i) z^2 zb + (3/5-4/5i) z zb^2 + 1")
         columns = SelfcommAssembly(phi).factor(6)
         keys = {key for column in columns for key in column}
-        chosen = independent_columns(columns)
+        chosen = _greedy(columns)
         assert SelfcommAssembly(phi).rank(6) == 0
         assert 2 * (len(keys) - len(chosen)) >= len(keys) - 2
 

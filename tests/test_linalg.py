@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualtoeplitz import (
@@ -21,7 +21,7 @@ from dualtoeplitz import (
     realify,
     selfcomm_form_matrix,
 )
-from dualtoeplitz.linalg import Echelon, diagonal_form_rank, independent_columns
+from dualtoeplitz.linalg import Echelon, factored_rank
 
 from oracle_rank import bruteforce_rank, matrix_to_pairs
 
@@ -341,6 +341,12 @@ def sparse_columns(draw):
     return columns
 
 
+def _greedy(columns):
+    """Positions of the columns that make a pivot, added in order to one Echelon."""
+    echelon = Echelon()
+    return [j for j, column in enumerate(columns) if echelon.add(column)]
+
+
 class TestIndependentColumns:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(sparse_columns())
@@ -352,7 +358,7 @@ class TestIndependentColumns:
                 [[(c.get(k, gr(0)).re, c.get(k, gr(0)).im) for c in cols] for k in keys]
             )
 
-        chosen = independent_columns(columns)
+        chosen = _greedy(columns)
         assert chosen == sorted(set(chosen))
         assert oracle_rank([columns[j] for j in chosen]) == len(chosen)
         assert oracle_rank(columns) == len(chosen)
@@ -360,8 +366,8 @@ class TestIndependentColumns:
     def test_greedy_in_order(self):
         e0, e1 = {0: gr(1)}, {1: gr(2, 1)}
         both = {0: gr(3), 1: gr(-1, 1)}
-        assert independent_columns([{}, e0, both, e1, {5: gr(0)}]) == [1, 2]
-        assert independent_columns([e1, e0, both]) == [0, 1]
+        assert _greedy([{}, e0, both, e1, {5: gr(0)}]) == [1, 2]
+        assert _greedy([e1, e0, both]) == [0, 1]
 
 
 def _dense_rows(columns, keys):
@@ -370,7 +376,7 @@ def _dense_rows(columns, keys):
 
 class TestEchelonComplement:
     """Echelon.complement is a basis of the orthogonal complement of the
-    columns' span, and diagonal_form_rank is the rank of M^H G M."""
+    columns' span, and factored_rank is the rank of R^H G C."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(sparse_columns())
@@ -390,27 +396,43 @@ class TestEchelonComplement:
         assert bruteforce_rank(_dense_rows(complement, keys)) == len(complement)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(sparse_columns(), st.lists(st.sampled_from([-3, -2, -1, 1, 2, 4]), min_size=7, max_size=7))
-    def test_diagonal_form_rank(self, columns, weights):
-        keys = sorted({k for column in columns for k in column})
+    @given(
+        sparse_columns(),
+        st.one_of(st.none(), sparse_columns()),
+        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 4]), min_size=7, max_size=7),
+    )
+    # forms that vanish with G = diag(1 / w) but not with diag(w): random
+    # entries rarely cancel, so these pin which of the two the rank uses
+    @example([{-3: gr(1), -2: gr(1), -1: gr(1)}], None, [2, -1, 2, 1, 1, 1, 1])
+    @example([{-3: gr(2), -2: gr(1)}], [{-3: gr(1), -2: gr(1)}], [2, -1, 1, 1, 1, 1, 1])
+    def test_factored_rank(self, columns, rows, weights):
+        # rows=None is the Hermitian case R = C, with one echelon passed twice
         inverse_weight = {k: weights[k + 3] for k in range(-3, 4)}
         echelon = Echelon()
         count = sum(echelon.add(column) for column in columns)
-        got = diagonal_form_rank(echelon, keys, inverse_weight.__getitem__, count)
-        # M^H G M with G = diag(1 / inverse_weight), in Fraction pairs
+        if rows is None:
+            rows, row_echelon, row_count = columns, echelon, count
+        else:
+            row_echelon = Echelon()
+            row_count = sum(row_echelon.add(row) for row in rows)
+        keys = sorted({k for factor in (columns, rows) for c in factor for k in c})
+        got = factored_rank(
+            echelon, count, row_echelon, row_count, keys, inverse_weight.__getitem__
+        )
+        # R^H G C with G = diag(1 / inverse_weight), in Fraction pairs
         form = [
             [
                 sum(
                     (
-                        (ci.get(k, gr(0)).conjugate() * cj.get(k, gr(0)))
+                        (r.get(k, gr(0)).conjugate() * c.get(k, gr(0)))
                         * gr(Fraction(1, inverse_weight[k]))
                         for k in keys
                     ),
                     start=gr(0),
                 )
-                for cj in columns
+                for c in columns
             ]
-            for ci in columns
+            for r in rows
         ]
         assert got == bruteforce_rank([[(c.re, c.im) for c in row] for row in form])
 
