@@ -64,7 +64,9 @@ echelons.  The range Gram, Gram[i][j] = <w_j, w_i>, has the rank
 dim span{w_j}.  Since w_j depends linearly on C_j, that span is the span of
 the images of a maximal independent set S of the columns, and its dimension
 is the number of pivots those images make in an Echelon over their terms.
-Images are formed only for the range Gram and for S.
+S grows with the order like the column echelon, so that Echelon grows along
+S too and takes each image once.  Images are formed only for the range Gram
+and for S.
 """
 
 from __future__ import annotations
@@ -347,6 +349,10 @@ class CommutatorAssembly:
         # R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i))
         self._columns = _HarmonicFactor(phi, psi)
         self._rows = _HarmonicFactor(adjoint_symbol(psi), adjoint_symbol(phi))
+        # the images of the chosen columns, in the order they were chosen,
+        # and the pivots their first t make, at index t
+        self._span = Echelon()
+        self._span_sizes = [0]
 
     def _images(
         self, basis: TruncatedBasis, indices: Iterable[int]
@@ -398,7 +404,9 @@ class CommutatorAssembly:
     def ranks(self, order: int | TruncatedBasis) -> tuple[int, int]:
         """Ranks of the pairing and the range Gram at this order: factored_rank
         of R^H G C, and the dimension of the span of the images w_j over a
-        maximal independent set S of the columns C_j."""
+        maximal independent set S of the columns C_j.  S at order N - 1 is a
+        prefix of S at order N, so one span echelon grows along S and each
+        image is reduced once over a run of orders."""
         basis = _basis(order)
         chosen, column_keys = self._columns.selection(basis)
         row_chosen, row_keys = self._rows.selection(basis)
@@ -410,9 +418,13 @@ class CommutatorAssembly:
             list(dict.fromkeys(row_keys + column_keys)),
             _inverse_weight,
         )
-        span = Echelon()
-        images = self._images(basis, (basis.index(n, m) for n, m in chosen))
-        return pairing_rank, sum(span.add(w._terms) for w in images.values())
+        sizes = self._span_sizes
+        if len(sizes) <= len(chosen):
+            new = (basis.index(n, m) for n, m in chosen[len(sizes) - 1 :])
+            for w in self._images(basis, new).values():
+                self._span.add(w._terms)
+                sizes.append(len(self._span.pivots))
+        return pairing_rank, sizes[len(chosen)]
 
 
 def commutator_matrices(

@@ -4,15 +4,18 @@ Everything here is an independent symbolic route to quantities the engine
 computes numerically term by term: the action of a monomial-symbol operator on
 the probe vectors, the value of the self-commutator form there, and the
 defect polynomials whose signs and zeros drive the normality classification.
-All polynomials are expanded over the plain rationals; for a two-term symbol
-the squared coefficient modulus s = |alpha|^2 enters as an exact rational
-before expansion, so every check stays univariate.
+All polynomials are expanded with exact rational coefficients, held as int
+numerators over one common denominator (RationalPolynomial), so a product is
+an int convolution reduced once; for a two-term symbol the squared
+coefficient modulus s = |alpha|^2 enters as an exact rational before
+expansion, so every check stays univariate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import (
     Element,
@@ -28,15 +31,38 @@ _F1 = Fraction(1)
 
 
 class RationalPolynomial:
-    """Dense univariate polynomial with Fraction coefficients, low degree first."""
+    """Dense univariate polynomial with rational coefficients, low degree
+    first, held as int numerators over one positive common denominator.
 
-    __slots__ = ("coeffs",)
+    The form is canonical: trailing zero numerators are trimmed, the
+    denominator is coprime to the numerators, and the zero polynomial has
+    denominator 1.  So two polynomials are equal iff their numerator lists
+    and denominators are, and arithmetic runs on plain ints, reduced once
+    per result.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums) if nums else den
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        self.nums = nums
+        self.den = den
+
+    @classmethod
+    def _of(cls, nums: list[int], den: int) -> "RationalPolynomial":
+        p = cls.__new__(cls)
+        p._set(nums, den)
+        return p
 
     @classmethod
     def constant(cls, c) -> "RationalPolynomial":
@@ -48,62 +74,74 @@ class RationalPolynomial:
         return cls([shift, 1])
 
     @property
+    def coeffs(self) -> list[Fraction]:
+        """The coefficients as Fractions, low degree first."""
+        return [Fraction(c, self.den) for c in self.nums]
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _F0
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
+        return _F0
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
+            a[i] += c
+        return RationalPolynomial._of(a, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RationalPolynomial([-c for c in self.coeffs])
+        return RationalPolynomial._of([-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         if not a or not b:
             return RationalPolynomial()
-        out = [_F0] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RationalPolynomial(out)
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return RationalPolynomial._of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "RationalPolynomial":
         c = Fraction(c)
-        return RationalPolynomial([c * x for x in self.coeffs])
+        nums = [c.numerator * x for x in self.nums]
+        return RationalPolynomial._of(nums, self.den * c.denominator)
 
     def __call__(self, x) -> Fraction:
+        """Horner at x = p/q on ints: acc = sum_k nums[k] p^k q^(deg-k)."""
         x = Fraction(x)
-        acc = _F0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        acc, qpow = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * p + c * qpow
+            qpow *= q
+        # the loop ends with qpow = q^(deg+1), one factor q past acc's
+        return Fraction(acc * q, self.den * qpow)
 
     def __eq__(self, other):
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __repr__(self):
         return "RationalPolynomial(%r)" % (self.coeffs,)
@@ -194,8 +232,9 @@ def monomial_defect_poly(n: int, m: int) -> RationalPolynomial:
 
 
 def _squared_pair(j: int) -> RationalPolynomial:
-    lin = RationalPolynomial.linear
-    return lin(j) * lin(j) * lin(j + 1) * lin(j + 1)
+    """(x + j)^2 (x + j + 1)^2."""
+    pair = RationalPolynomial.linear(j) * RationalPolynomial.linear(j + 1)
+    return pair * pair
 
 
 def two_term_defect_components(
@@ -210,12 +249,13 @@ def two_term_defect_components(
     exps = [n1, n2, m1, m2]
     weights = [_F1, s, _F1, s]
     firsts = [n1 - m1, n2 - m2, m1 - n1, m2 - n2]
+    pairs = [_squared_pair(e) for e in exps]
     out = []
     for pos in range(4):
         cof = RationalPolynomial.constant(exps[pos] * exps[pos])
         for other in range(4):
             if other != pos:
-                cof = cof * _squared_pair(exps[other])
+                cof = cof * pairs[other]
         poly = cof * RationalPolynomial.linear(firsts[pos])
         out.append(poly.scale(weights[pos]))
     return out

@@ -121,10 +121,17 @@ def psd_test(form: HermitianForm | ExactMatrix) -> PsdResult:
     Runs pivoted LDL^T on the realified matrix: PSD iff every pivot is positive
     and the final residual is zero.  A negative diagonal, or a zero diagonal
     facing a nonzero off-diagonal entry, yields a witness c with c* h c < 0.
+    A negative entry on the form's own diagonal is found before realifying:
+    the unit vector at the first one is the witness, with value h[k][k].
     """
     if isinstance(form, ExactMatrix):
         form = HermitianForm(form)
     n = form.size
+    # the realified diagonal starts with the (real) complex diagonal, so this
+    # is the witness the elimination below would return on its first step
+    for k in range(n):
+        if form.matrix.data[k][k].real_sign() < 0:
+            return _indefinite(form, [], {k: _ONE}, n)
     r = realify(form)
     m = r.copy_data()
     size = 2 * n

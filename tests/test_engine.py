@@ -557,6 +557,22 @@ class TestHarmonicCore:
         got = rank_table("--symbol", "zb^2 + z + z^3 zb", "--N-max", "12")
         assert got == [{"N": n, "rank": r} for n, r in enumerate(ranks, start=1)]
 
+    def test_commutator_rank_table_pinned_beyond_the_oracle(self):
+        # computed by full-matrix elimination on B and the range Gram at each
+        # order; the span of the chosen images grows along S across the table
+        ranks = [(0, 1), (4, 4), (6, 8), (10, 13), (14, 17), (18, 21)]
+        ranks += [(22, 25), (26, 29), (30, 33), (34, 37), (38, 41), (42, 45)]
+        pair = ("--symbol", "z^2 zb + z^3", "--symbol2", "zb^2 + z")
+        got = rank_table(*pair, "--N-max", "12")
+        assert got == [
+            {"N": n, "rank": r, "gram_rank": g}
+            for n, (r, g) in enumerate(ranks, start=1)
+        ]
+        # one assembly asked out of order reads the same prefixes
+        assembly = CommutatorAssembly(parse_symbol(pair[1]), parse_symbol(pair[3]))
+        for order in (12, 3, 7, 1, 12):
+            assert assembly.ranks(order) == ranks[order - 1]
+
     def test_dense_top_form_rank_pinned(self):
         # the dense-elim benchmark's top command: rank 44 of 100
         out, err = io.StringIO(), io.StringIO()

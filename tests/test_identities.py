@@ -3,8 +3,12 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
+import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualtoeplitz import (
     Element,
@@ -31,6 +35,39 @@ from dualtoeplitz import test_vector as probe_vector
 
 def F(*args):
     return Fraction(*args)
+
+
+# a naive Fraction-list polynomial, low degree first, as the kernel's oracle
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    out = [F(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim(out)
+
+
+def _ref_eval(a, x):
+    return sum((c * x**k for k, c in enumerate(a)), F(0))
+
+
+rationals = st.fractions(min_value=F(-9), max_value=F(9), max_denominator=8)
+coefficient_lists = st.lists(st.one_of(st.just(F(0)), rationals), max_size=6)
 
 
 class TestRationalPolynomial:
@@ -67,6 +104,38 @@ class TestRationalPolynomial:
     def test_constant(self):
         c = RationalPolynomial.constant(F(5, 3))
         assert c.degree == 0 and c(100) == F(5, 3)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(coefficient_lists, coefficient_lists, rationals, rationals)
+    @example([F(1, 2), 0, F(-3, 4)], [0, 0], F(0), F(0))
+    @example([F(2, 3), F(-1, 6)], [F(-2, 3), F(1, 6)], F(-3, 2), F(-7, 3))
+    def test_matches_fraction_list_reference(self, a, b, c, x):
+        p, q = RationalPolynomial(a), RationalPolynomial(b)
+        cases = [
+            (p, _trim(a)),
+            (p + q, _ref_add(a, b)),
+            (p - q, _ref_add(a, [-v for v in b])),
+            (-p, _trim([-v for v in a])),
+            (p * q, _ref_mul(a, b)),
+            (p.scale(c), _trim([c * v for v in a])),
+            (c * p, _trim([c * v for v in a])),
+        ]
+        for got, want in cases:
+            assert got.coeffs == want
+            assert all(type(v) is Fraction for v in got.coeffs)
+            assert got == RationalPolynomial(want)
+            assert got.degree == len(want) - 1
+            assert got.is_zero == (not want)
+            for k in range(-1, 8):
+                assert got.coefficient(k) == (want[k] if 0 <= k < len(want) else 0)
+            for point in (x, F(0), -x):
+                value = got(point)
+                assert type(value) is Fraction and value == _ref_eval(want, point)
+            # canonical form: trimmed, reduced, zero over 1
+            assert got.den > 0 and gcd(got.den, *got.nums) == 1
+            assert not got.nums or got.nums[-1] != 0
+            assert got.nums or got.den == 1
+        assert (p == q) == (_trim(a) == _trim(b))
 
 
 class TestClosedFormApply:
@@ -175,6 +244,53 @@ class TestMonomialDefectPoly:
                     * (m + k + 1) ** 2
                 )
                 assert p(k) == -closed_form_q(n, m, k) * denom
+
+
+def _sympy_coeffs(expr):
+    coeffs = sp.Poly(expr, sp.Symbol("x")).all_coeffs()
+    return _trim(F(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+
+def _sympy_monomial_defect(n, m):
+    x = sp.Symbol("x")
+    return sp.expand(
+        n**2 * (x + n - m) * (x + m) ** 2 * (x + m + 1) ** 2
+        - m**2 * (x + m - n) * (x + n) ** 2 * (x + n + 1) ** 2
+    )
+
+
+def _sympy_two_term_defect(n1, m1, n2, m2, s):
+    # H = aG + s bG - cG - s dG: each term is e^2 (x + first) times the
+    # squared pairs (x + e')^2 (x + e' + 1)^2 of the other three exponents
+    x = sp.Symbol("x")
+    exps = [n1, n2, m1, m2]
+    firsts = [n1 - m1, n2 - m2, m1 - n1, m2 - n2]
+    weights = [1, s, -1, -s]
+    total = 0
+    for pos in range(4):
+        term = weights[pos] * exps[pos] ** 2 * (x + firsts[pos])
+        for other in range(4):
+            if other != pos:
+                e = exps[other]
+                term *= (x + e) ** 2 * (x + e + 1) ** 2
+        total += term
+    return sp.expand(total)
+
+
+class TestDefectPolysAgainstSympy:
+    def test_monomial_defect_poly(self):
+        for n, m in product(range(5), repeat=2):
+            want = _sympy_monomial_defect(n, m)
+            got = monomial_defect_poly(n, m)
+            assert got.coeffs == _sympy_coeffs(want)
+
+    def test_two_term_defect_poly(self):
+        weights = (sp.Integer(1), sp.Rational(3, 2), sp.Rational(2, 5))
+        for index, (n1, m1, n2, m2) in enumerate(product(range(3), repeat=4)):
+            s = weights[index % len(weights)]
+            want = _sympy_two_term_defect(n1, m1, n2, m2, s)
+            got = two_term_defect_poly(n1, m1, n2, m2, F(int(s.p), int(s.q)))
+            assert got.coeffs == _sympy_coeffs(want)
 
 
 class TestTwoTermDefectPoly:

@@ -45,6 +45,11 @@ def _random_matrix(rng, n, m, complex_entries=True):
     return ExactMatrix([[entry() for _ in range(m)] for _ in range(n)])
 
 
+small_fractions = st.fractions(
+    min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
+)
+
+
 def _sympy_matrix(a):
     return sp.Matrix(
         [
@@ -195,6 +200,38 @@ class TestPsdTest:
         result = psd_test(HermitianForm(h))
         assert not result.is_psd
         assert form_value(h, result.witness) == result.value < 0
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(small_fractions, min_size=n * n, max_size=n * n),
+                st.lists(small_fractions, min_size=n * n, max_size=n * n),
+                st.integers(0, n - 1),
+                st.fractions(max_value=Fraction(-1, 7), max_denominator=7),
+            )
+        )
+    )
+    def test_negative_diagonal_gives_first_unit_witness(self, draw):
+        # the first negative diagonal entry A[k][k] is the witness e_k, with
+        # value A[k][k], whatever the off-diagonal entries are
+        n, re_parts, im_parts, forced, negative = draw
+
+        def entry(i, j):
+            if i == j:
+                return gr(negative if i == forced else re_parts[i * n + i])
+            if i > j:
+                return entry(j, i).conjugate()
+            return gr(re_parts[i * n + j], im_parts[i * n + j])
+
+        h = ExactMatrix.build(n, n, entry)
+        k = next(i for i in range(n) if h[i, i].re < 0)
+        result = psd_test(HermitianForm(h))
+        assert not result.is_psd
+        assert result.witness == [gr(int(i == k)) for i in range(n)]
+        assert result.value == h[k, k].re
+        assert form_value(h, result.witness) == result.value
 
     def test_random_hermitian_agrees_with_charpoly_oracle(self):
         rng = random.Random(2204)
