@@ -5,7 +5,13 @@ Everything is computed over Gaussian rationals with zero tolerance:
 projections, operator actions, truncated form matrices, positive
 semidefiniteness and rank, normality classification with certificates,
 and symbolic verification suites.
+
+The computing modules load with the package.  The closed-form identities
+and the verification suites load on first use of one of their names, so
+a command that never verifies never compiles them.
 """
+
+from importlib import import_module
 
 from ._kernel import BACKEND as BACKEND_NAME
 from .algebra import (
@@ -46,21 +52,6 @@ from .engine import (
     selfcomm_form_matrix,
     test_vector,
 )
-from .identities import (
-    RationalPolynomial,
-    SpecialPointCheck,
-    adjoint_commutator_identity,
-    closed_form_apply,
-    closed_form_q,
-    defect_balance_at_zero,
-    equal_diff_defect_at_zero,
-    monomial_defect_poly,
-    radial_commutator_residual,
-    two_monomial_q,
-    two_term_defect_components,
-    two_term_defect_poly,
-    two_term_special_points,
-)
 from .linalg import (
     HermitianForm,
     PsdResult,
@@ -78,18 +69,58 @@ from .symbols import (
     format_scalar,
     parse_symbol,
 )
-from .verify import (
-    COMMUTATOR_GRID,
-    COMMUTATOR_ORDERS,
-    HARMONIC_GRID,
-    SUITE_NAMES,
-    SuiteReport,
-    TWO_TERM_GRID,
-    run_suite,
-    run_suites,
-)
 
 __version__ = "0.1.0"
+
+# the suites' names, here so that the command-line parser can offer them
+# without loading the suites
+SUITE_NAMES = ("monomial", "two-term", "harmonic", "radial", "commutator-parity")
+
+# names served on first use (PEP 562), with the module that defines them
+_LAZY = dict.fromkeys(
+    (
+        "RationalPolynomial",
+        "SpecialPointCheck",
+        "adjoint_commutator_identity",
+        "closed_form_apply",
+        "closed_form_q",
+        "defect_balance_at_zero",
+        "equal_diff_defect_at_zero",
+        "monomial_defect_poly",
+        "radial_commutator_residual",
+        "two_monomial_q",
+        "two_term_defect_components",
+        "two_term_defect_poly",
+        "two_term_special_points",
+    ),
+    "identities",
+) | dict.fromkeys(
+    (
+        "COMMUTATOR_GRID",
+        "COMMUTATOR_ORDERS",
+        "HARMONIC_GRID",
+        "SuiteReport",
+        "TWO_TERM_GRID",
+        "run_suite",
+        "run_suites",
+    ),
+    "verify",
+)
+
+
+def __getattr__(name):
+    """Load the module behind a lazy name on first use (PEP 562)."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "BACKEND_NAME",

@@ -11,9 +11,9 @@ or the order through which the form matrix was checked to vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Element, GaussianRational, as_scalar
 from .engine import SelfcommAssembly, build_basis, q_value
@@ -29,8 +29,7 @@ class VerdictStatus(str, Enum):
     OUTSIDE_PROVEN_SCOPE = "OutsideProvenScope"
 
 
-@dataclass(frozen=True)
-class NotNormalCertificate:
+class NotNormalCertificate(NamedTuple):
     """First truncation order with a nonzero self-commutator form matrix,
     one nonzero entry location, and a witness with exact negative form value."""
 
@@ -41,8 +40,7 @@ class NotNormalCertificate:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class ZeroMatrixCertificate:
+class ZeroMatrixCertificate(NamedTuple):
     """Self-commutator form matrix is exactly zero for every N <= order.
 
     Evidence for normality, not a proof (finite truncation only).
@@ -54,8 +52,7 @@ class ZeroMatrixCertificate:
 Certificate = NotNormalCertificate | ZeroMatrixCertificate
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: VerdictStatus
     rule: str
     certificate: Certificate | None = None

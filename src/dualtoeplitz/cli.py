@@ -20,13 +20,12 @@ passed, 1 verification failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 import time
 
-from . import __version__
+from . import SUITE_NAMES, __version__
 from ._kernel import BACKEND as BACKEND_NAME
 from .algebra import Element, inner_product
 from .classify import (
@@ -49,7 +48,6 @@ from .symbols import (
     format_scalar,
     parse_symbol,
 )
-from .verify import SUITE_NAMES, run_suites
 
 
 class UsageError(Exception):
@@ -64,7 +62,7 @@ def _element_payload(e: Element) -> dict:
 
 
 def _matrix_entries(a: ExactMatrix) -> list[list[str]]:
-    return [[format_scalar(a[i, j]) for j in range(a.cols)] for i in range(a.rows)]
+    return [[format_scalar(c) for c in row] for row in a.data]
 
 
 def _certificate_payload(cert) -> dict | None:
@@ -168,12 +166,14 @@ def _cmd_matrix(args) -> tuple[str, int]:
 
 
 def _matrix_csv(basis, a: ExactMatrix) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["n", "m"] + [f"e({n},{m})" for (n, m) in basis.pairs]
     writer.writerow(header)
-    for i, (n, m) in enumerate(basis.pairs):
-        writer.writerow([n, m] + [format_scalar(a[i, j]) for j in range(a.cols)])
+    for (n, m), row in zip(basis.pairs, a.data):
+        writer.writerow([n, m] + [format_scalar(c) for c in row])
     return buf.getvalue()
 
 
@@ -200,6 +200,13 @@ def _cmd_rank(args) -> tuple[str, int]:
     result = {"table": table}
     diagnostics = {"backend": BACKEND_NAME}
     return _document("rank", inputs, result, diagnostics), 0
+
+
+def run_suites(suite: str, n_max: int | None) -> list:
+    """verify.run_suites, loaded here: no other command needs the suites."""
+    from .verify import run_suites
+
+    return run_suites(suite, n_max)
 
 
 def _cmd_verify(args) -> tuple[str, int]:

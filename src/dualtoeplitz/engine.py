@@ -72,7 +72,6 @@ and for S.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -113,14 +112,25 @@ def q_value(phi: Element, f: Element) -> Fraction:
     return value.re
 
 
-@dataclass(frozen=True)
 class TruncatedBasis:
     """Complement basis e_{n,m}, 1 <= n, m <= N, in lexicographic (n, m) order."""
 
-    order: int
-    pairs: tuple[tuple[int, int], ...]
-    vectors: tuple[Element, ...]
-    swap: tuple[int, ...] = field(repr=False)
+    __slots__ = ("order", "pairs", "vectors", "swap")
+
+    def __init__(
+        self,
+        order: int,
+        pairs: tuple[tuple[int, int], ...],
+        vectors: tuple[Element, ...],
+        swap: tuple[int, ...],
+    ):
+        self.order = order
+        self.pairs = pairs
+        self.vectors = vectors
+        self.swap = swap
+
+    def __repr__(self):
+        return "TruncatedBasis(order=%d)" % self.order
 
     def index(self, n: int, m: int) -> int:
         if not (1 <= n <= self.order and 1 <= m <= self.order):

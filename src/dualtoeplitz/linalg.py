@@ -35,11 +35,10 @@ verify suites and the tests use as an independent cross-check of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._kernel import GR_ONE as _ONE, GR_ZERO as _ZERO, GaussianRational, _norm
 from .matrix import ExactMatrix
@@ -60,8 +59,7 @@ class HermitianForm:
         return self.matrix.rows
 
 
-@dataclass(frozen=True)
-class PsdResult:
+class PsdResult(NamedTuple):
     """Outcome of the PSD test: PSD with the complex rank, or a strict witness."""
 
     is_psd: bool

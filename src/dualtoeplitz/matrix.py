@@ -73,9 +73,16 @@ class ExactMatrix:
     def is_hermitian(self) -> bool:
         if self.rows != self.cols:
             return False
-        for i in range(self.rows):
+        data = self.data
+        for i, row in enumerate(data):
             for j in range(i, self.rows):
-                if self.data[i][j] != self.data[j][i].conjugate():
+                upper, lower = row[j], data[j][i]
+                # one object on both sides (the diagonal, shared zeros, real
+                # mirror entries) is its own conjugate exactly when real
+                if upper is lower:
+                    if not upper.is_real:
+                        return False
+                elif upper != lower.conjugate():
                     return False
         return True
 

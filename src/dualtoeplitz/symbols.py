@@ -19,6 +19,7 @@ grammar has no unary minus).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .algebra import Element, GaussianRational
 
@@ -174,17 +175,25 @@ def format_rational(value: Fraction) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
+def _format_ratio(p: int, q: int) -> str:
+    """p/q in lowest terms, q > 0, as format_rational prints it."""
+    g = gcd(p, q)
+    if g > 1:
+        p //= g
+        q //= g
+    return str(p) if q == 1 else "%d/%d" % (p, q)
+
+
 def format_scalar(c: GaussianRational) -> str:
     """Canonical scalar string: "p/q" when real, else "p/q+r/si"."""
     if c.is_zero:
         return "0"
-    if c.is_real:
+    a, b, d = c.num_re, c.num_im, c.den
+    if b == 0:
         # gcd(a, 0, d) = gcd(a, d) = 1: a/d is already in lowest terms
-        a, d = c.num_re, c.den
         return str(a) if d == 1 else "%d/%d" % (a, d)
-    im = c.im
-    sign = "-" if im < 0 else "+"
-    return "%s%s%si" % (format_rational(c.re), sign, format_rational(abs(im)))
+    sign = "-" if b < 0 else "+"
+    return "%s%s%si" % (_format_ratio(a, d), sign, _format_ratio(abs(b), d))
 
 
 def _monomial_str(n: int, m: int) -> str:

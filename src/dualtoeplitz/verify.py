@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import SUITE_NAMES
 from .algebra import Element
 from .classify import (
     NotNormalCertificate,
@@ -57,8 +58,6 @@ from .identities import (
 )
 from .linalg import is_antisymmetric, psd_test, rank
 from .symbols import parse_symbol
-
-SUITE_NAMES = ("monomial", "two-term", "harmonic", "radial", "commutator-parity")
 
 # Fixed classification grid: (symbol, expected status).  Covers the merged
 # degenerate case, radial pairs with real and non-real ratios, conjugate

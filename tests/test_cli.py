@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import dualtoeplitz
 import dualtoeplitz.cli as cli
 from dualtoeplitz import BACKEND_NAME, SuiteReport, apply, format_element, parse_symbol
 
@@ -323,3 +327,83 @@ class TestVersionAndScript:
         doc = json.loads(proc.stdout)
         assert doc["result"]["status"] == "Normal"
         assert "timing:" in proc.stderr
+
+
+def fresh_python(*argv):
+    """Run a fresh interpreter that finds this package first."""
+    src = os.path.dirname(os.path.dirname(dualtoeplitz.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env
+    )
+
+
+class TestLoadSet:
+    """A command loads only the modules it runs: start-up is most of a
+    small command, and compiling unused modules is most of start-up."""
+
+    VERIFY_ONLY = ("dualtoeplitz.verify", "dualtoeplitz.identities", "dataclasses")
+
+    @staticmethod
+    def loaded(*argv):
+        proc = fresh_python("-X", "importtime", "-m", "dualtoeplitz.cli", *argv)
+        modules = {
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        return proc, modules
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rank", "--symbol", "z^2 zb", "--N-max", "3"),
+            ("matrix", "selfcomm", "--symbol", "z^2 zb", "--N", "2"),
+        ],
+    )
+    def test_computing_commands_skip_the_suites(self, argv):
+        proc, modules = self.loaded(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "dualtoeplitz.engine" in modules
+        for name in self.VERIFY_ONLY + ("csv",):
+            assert name not in modules
+
+    def test_csv_loads_only_for_csv_output(self):
+        proc, modules = self.loaded(
+            "matrix", "selfcomm", "--symbol", "z^2 zb", "--N", "2", "--format", "csv"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "csv" in modules
+        assert "dualtoeplitz.verify" not in modules
+
+    def test_verify_still_loads_and_runs_the_suites(self):
+        proc, modules = self.loaded("verify", "--suite", "radial")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["passed"] is True
+        assert {"dualtoeplitz.verify", "dualtoeplitz.identities"} <= modules
+
+    def test_every_public_name_resolves(self):
+        probe = textwrap.dedent(
+            """
+            import sys
+            import dualtoeplitz
+            listed = set(dir(dualtoeplitz))
+            missing = [n for n in dualtoeplitz.__all__ if n not in listed]
+            assert not missing, missing
+            assert "dualtoeplitz.verify" not in sys.modules
+            for name in dualtoeplitz.__all__:
+                getattr(dualtoeplitz, name)
+            assert "dualtoeplitz.verify" in sys.modules
+            from dualtoeplitz import RationalPolynomial, run_suites
+            assert callable(dualtoeplitz.classify), "the submodule shadows classify"
+            try:
+                dualtoeplitz.no_such_name
+            except AttributeError:
+                pass
+            else:
+                raise AssertionError("unknown names must raise AttributeError")
+            """
+        )
+        proc = fresh_python("-c", probe)
+        assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualtoeplitz import (
     Element,
@@ -115,6 +117,25 @@ class TestFormat:
         assert format_scalar(gr(Fraction(1, 2))) == "1/2"
         assert format_scalar(gr(Fraction(1, 2), Fraction(-1, 3))) == "1/2-1/3i"
         assert format_scalar(gr(0, 1)) == "0+1i"
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.integers(-10**30, 10**30),
+        st.integers(-10**30, 10**30),
+        st.integers(1, 10**30),
+        st.sampled_from([1, 2, 6, 12, 30, 2**40]),
+    )
+    def test_scalar_matches_fraction_formatting(self, p, r, q, s):
+        # the triple path must print what the two Fractions print
+        c = gr(Fraction(p, q), Fraction(r, q * s))
+        if c.is_zero:
+            expected = "0"
+        elif c.is_real:
+            expected = format_rational(c.re)
+        else:
+            sign = "-" if c.im < 0 else "+"
+            expected = format_rational(c.re) + sign + format_rational(abs(c.im)) + "i"
+        assert format_scalar(c) == expected
 
     def test_zero_element(self):
         assert format_element(Element.zero()) == "0"
