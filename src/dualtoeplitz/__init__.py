@@ -59,7 +59,6 @@ from .linalg import (
     is_antisymmetric,
     psd_test,
     rank,
-    realify,
 )
 from .matrix import ExactMatrix
 from .symbols import (
@@ -181,7 +180,6 @@ __all__ = [
     "q_value",
     "radial_commutator_residual",
     "rank",
-    "realify",
     "run_suite",
     "run_suites",
     "selfcomm_form_matrix",

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .algebra import Element, GaussianRational, as_scalar
 from .engine import SelfcommAssembly, build_basis, q_value
-from .linalg import HermitianForm, psd_test, rank
+from .linalg import psd_test, rank
 from .matrix import ExactMatrix
 
 DEFAULT_ORDER_LIMIT = 8
@@ -161,29 +161,29 @@ def numeric_certificate(
     phi: Element, order_limit: int = DEFAULT_ORDER_LIMIT
 ) -> Certificate:
     """Search truncation orders 1..order_limit for a nonzero self-commutator
-    form matrix.  Any nonzero Hermitian form matrix here has trace zero, hence
-    is indefinite, so certified non-normality always carries a witness whose
-    exact form value is negative; an all-zero run returns the order reached.
-    One assembly serves every order, so each image and entry is computed once.
+    form matrix.  Each order is screened by the factored rank, which is 0
+    exactly when the form is zero and needs no entry; only the first order
+    of positive rank has its matrix built.  That form has trace zero, hence
+    is indefinite, and psd_test reads a witness with exact negative value off
+    its entries, which q_value re-verifies.  An all-zero run returns the
+    order reached.  One assembly serves every order, so each factor column
+    and entry is computed once.
     """
     if order_limit < 1:
         raise ValueError("order limit must be >= 1")
     forms = SelfcommAssembly(phi)
     for order in range(1, order_limit + 1):
         basis = build_basis(order)
+        if forms.rank(basis) == 0:
+            continue
         a = forms.matrix(basis)
         location = a.first_nonzero()
         if location is None:
-            continue
-        result = psd_test(HermitianForm(a))
-        if result.is_psd:
             raise RuntimeError(
-                "nonzero trace-free Hermitian matrix reported PSD; this is a bug"
+                "positive factored rank with a zero form matrix; this is a bug"
             )
-        witness = Element.zero()
-        for coord, vec in zip(result.witness, basis.vectors):
-            if not coord.is_zero:
-                witness = witness + vec.scale(coord)
+        result = psd_test(a)
+        witness = basis.combine(result.witness)
         check = q_value(phi, witness)
         if check != result.value or check >= 0:
             raise RuntimeError("witness failed engine re-verification; this is a bug")

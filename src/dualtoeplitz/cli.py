@@ -40,7 +40,7 @@ from .engine import (
     apply,
     build_basis,
 )
-from .linalg import HermitianForm, is_antisymmetric, psd_test
+from .linalg import is_antisymmetric, psd_test
 from .matrix import ExactMatrix
 from .symbols import (
     format_element,
@@ -109,7 +109,7 @@ def _cmd_classify(args) -> tuple[str, int]:
 
 
 def _psd_payload(a: ExactMatrix) -> dict:
-    outcome = psd_test(HermitianForm(a))
+    outcome = psd_test(a)
     if outcome.is_psd:
         return {"is_psd": True, "rank": outcome.rank}
     return {

@@ -143,6 +143,14 @@ class TruncatedBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
+    def combine(self, coords: Iterable[GaussianRational]) -> Element:
+        """The element sum_j coords[j] e_j, coordinates in basis order."""
+        out = Element.zero()
+        for c, e in zip(coords, self.vectors):
+            if not c.is_zero:
+                out = out + e.scale(c)
+        return out
+
 
 def build_basis(order: int) -> TruncatedBasis:
     """Basis of span{e_{n,m}}: conjugation acts by the swap permutation sigma."""

@@ -1,8 +1,12 @@
 """Exact linear algebra over the Gaussian rationals.
 
-PSD decisions run a symmetric-pivoted LDL^T elimination on the realified form
-and, when the form is indefinite, reconstruct an exact rational witness vector
-by back substitution.  A rank splits the matrix into the connected blocks of
+The only PSD question the program asks is whether a truncated
+self-commutator form is PSD, and every such form has trace zero: the basis
+is closed under (n, m) <-> (m, n), and |Q(conj(phi) e_{n,m})| =
+|Q(phi e_{m,n})|.  A trace-zero Hermitian form is PSD exactly when it is
+zero, so psd_test needs no elimination: a nonzero form gets an exact
+witness from its diagonal, or from its first nonzero entry when the
+diagonal vanishes.  A rank splits the matrix into the connected blocks of
 its nonzero pattern and sums their ranks, each found by fraction-free
 (Bareiss) elimination on plain Python ints: every row is scaled to Gaussian
 integers, kept as a pair of int lists (real and imaginary parts), and each
@@ -40,7 +44,7 @@ from itertools import islice
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from ._kernel import GR_ONE as _ONE, GR_ZERO as _ZERO, GaussianRational, _norm
+from ._kernel import GR_ONE as _ONE, GR_ZERO as _ZERO, GaussianRational
 from .matrix import ExactMatrix
 
 
@@ -54,40 +58,15 @@ class HermitianForm:
             raise ValueError("matrix is not Hermitian")
         self.matrix = matrix
 
-    @property
-    def size(self) -> int:
-        return self.matrix.rows
-
 
 class PsdResult(NamedTuple):
-    """Outcome of the PSD test: PSD with the complex rank, or a strict witness."""
+    """Outcome of the PSD test: PSD (the form is zero, rank 0), or a strict
+    witness with its negative value."""
 
     is_psd: bool
     rank: int | None = None
     witness: list[GaussianRational] | None = None
     value: Fraction | None = None
-
-
-def realify(h: HermitianForm | ExactMatrix) -> ExactMatrix:
-    """Real symmetric [[X, -Y], [Y, X]] for the Hermitian matrix X + iY.
-
-    Positive semidefiniteness is preserved and the rank exactly doubles.
-    """
-    m = h.matrix if isinstance(h, HermitianForm) else h
-    n = m.rows
-    out = ExactMatrix.zeros(2 * n, 2 * n)
-    for i in range(n):
-        for j, c in enumerate(m.data[i]):
-            if c.is_zero:
-                # the four entries stay the exact zeros of ExactMatrix.zeros
-                continue
-            x = _norm(c.num_re, 0, c.den)
-            y = _norm(c.num_im, 0, c.den)
-            out.data[i][j] = x
-            out.data[n + i][n + j] = x
-            out.data[i][n + j] = -y
-            out.data[n + i][j] = y
-    return out
 
 
 def form_value(matrix: ExactMatrix, vec: list[GaussianRational]) -> GaussianRational:
@@ -108,102 +87,46 @@ def form_value(matrix: ExactMatrix, vec: list[GaussianRational]) -> GaussianRati
     return total
 
 
-def _abs_gt(a: GaussianRational, b: GaussianRational) -> bool:
-    # |a| > |b| for real scalars; denominators are positive
-    return abs(a.num_re) * b.den > abs(b.num_re) * a.den
-
-
 def psd_test(form: HermitianForm | ExactMatrix) -> PsdResult:
-    """Exact PSD decision for a Hermitian form.
+    """Exact PSD decision for a Hermitian form of trace zero.
 
-    Runs pivoted LDL^T on the realified matrix: PSD iff every pivot is positive
-    and the final residual is zero.  A negative diagonal, or a zero diagonal
-    facing a nonzero off-diagonal entry, yields a witness c with c* h c < 0.
-    A negative entry on the form's own diagonal is found before realifying:
-    the unit vector at the first one is the witness, with value h[k][k].
+    The eigenvalues of such a form sum to zero, so it is PSD only when it is
+    zero, with rank 0.  A nonzero one has a witness c with c* h c < 0, read
+    off its entries:
+
+    - the unit vector at the first negative diagonal entry, with value
+      h[k][k];
+    - when the diagonal is all zero, c = e_i - h[i][j]^-1 e_j at the first
+      nonzero entry (i, j) in row-major order, with value
+      2 Re(h[i][j] * -h[i][j]^-1) = -2.
+
+    A form whose trace is not zero raises ValueError.
     """
     if isinstance(form, ExactMatrix):
         form = HermitianForm(form)
-    n = form.size
-    # the realified diagonal starts with the (real) complex diagonal, so this
-    # is the witness the elimination below would return on its first step
+    h = form.matrix
+    n = h.rows
+    trace = _ZERO
+    negative = None
     for k in range(n):
-        if form.matrix.data[k][k].real_sign() < 0:
-            return _indefinite(form, [], {k: _ONE}, n)
-    r = realify(form)
-    m = r.copy_data()
-    size = 2 * n
-    active = list(range(size))
-    # each step: (pivot index p, pivot value, multipliers {i: M[i][p]/pivot})
-    steps: list[tuple[int, GaussianRational, dict[int, GaussianRational]]] = []
-
-    while active:
-        neg = None
-        best = None
-        for i in active:
-            s = m[i][i].real_sign()
-            if s < 0:
-                neg = i
-                break
-            if s > 0 and (best is None or _abs_gt(m[i][i], m[best][best])):
-                best = i
-        if neg is not None:
-            return _indefinite(form, steps, {neg: _ONE}, n)
-        if best is None:
-            # all remaining diagonals are zero: PSD iff the residual vanishes
-            for a_pos, i in enumerate(active):
-                for j in active[a_pos + 1 :]:
-                    c = m[i][j]
-                    if not c.is_zero:
-                        # residual block [[0, c], [c, 0]] takes the value -2
-                        return _indefinite(
-                            form, steps, {i: -c.inverse(), j: _ONE}, n
-                        )
-            # the realified rank is exactly twice the complex rank
-            return PsdResult(is_psd=True, rank=len(steps) // 2)
-        p = best
-        pivot = m[p][p]
-        active.remove(p)
-        col = {}
-        for i in active:
-            e = m[i][p]
-            if not e.is_zero:
-                col[i] = e / pivot
-        steps.append((p, pivot, col))
-        support = list(col)
-        for i in support:
-            ci_pivot = col[i] * pivot
-            row_i = m[i]
-            for j in support:
-                row_i[j] = row_i[j] - ci_pivot * col[j]
-    return PsdResult(is_psd=True, rank=len(steps) // 2)
-
-
-def _indefinite(
-    form: HermitianForm,
-    steps: list[tuple[int, GaussianRational, dict[int, GaussianRational]]],
-    residual_dir: dict[int, GaussianRational],
-    n: int,
-) -> PsdResult:
-    # extend the residual direction to x with v_t . x = 0 for every earlier
-    # pivot vector v_t (v_t[p]=1 plus the stored multipliers); then
-    # x^T realify x = residual value.
-    x: dict[int, GaussianRational] = dict(residual_dir)
-    for p, _pivot, col in reversed(steps):
-        acc = _ZERO
-        for i, c in col.items():
-            xi = x.get(i)
-            if xi is not None:
-                acc = acc + c * xi
-        if not acc.is_zero:
-            x[p] = -acc
-    # fold the real coordinate pair (k, n+k) back into one complex coordinate
-    witness = []
-    for k in range(n):
-        xr = x.get(k, _ZERO)
-        xi = x.get(n + k, _ZERO)
-        witness.append(GaussianRational(xr.re, xi.re))
-    value = form_value(form.matrix, witness)
+        d = h.data[k][k]
+        trace = trace + d
+        if negative is None and d.real_sign() < 0:
+            negative = k
+    if not trace.is_zero:
+        raise ValueError("psd_test decides trace-zero forms only")
+    witness = [_ZERO] * n
+    if negative is not None:
+        witness[negative] = _ONE
+    else:
+        # no diagonal entry is negative and they sum to zero: all are zero
+        location = h.first_nonzero()
+        if location is None:
+            return PsdResult(is_psd=True, rank=0)
+        i, j = location
+        witness[i] = _ONE
+        witness[j] = -h.data[i][j].inverse()
+    value = form_value(h, witness)
     if not value.is_real or value.real_sign() >= 0:
         raise RuntimeError("witness reconstruction failed; this is a bug")
     return PsdResult(is_psd=False, witness=witness, value=value.re)

@@ -263,19 +263,10 @@ def _suite_monomial(n_max: int | None = None) -> SuiteReport:
     ok = (
         not result.is_psd
         and result.value < 0
-        and q_value(phi, _witness_element(result.witness, 4)) == result.value
+        and q_value(phi, build_basis(4).combine(result.witness)) == result.value
     )
     report.check(ok, "z^2 zb: form matrix not certified indefinite at order 4")
     return report
-
-
-def _witness_element(coords, order: int) -> Element:
-    basis = build_basis(order)
-    out = Element.zero()
-    for c, e in zip(coords, basis.vectors):
-        if not c.is_zero:
-            out = out + c * e
-    return out
 
 
 def _suite_two_term(n_max: int | None = None) -> SuiteReport:

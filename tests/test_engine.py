@@ -41,6 +41,7 @@ from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
 from dualtoeplitz.linalg import Echelon, factored_rank
 
+from oracle_psd import charpoly_psd
 from oracle_rank import bruteforce_rank, matrix_to_pairs
 
 rationals = st.fractions(
@@ -261,9 +262,13 @@ class TestFormMatrices:
                 assert g[i, j] == inner_product(outputs[j], outputs[i])
 
     def test_range_gram_is_psd(self):
+        # a Gram matrix has a positive trace, outside psd_test's forms, so the
+        # sympy charpoly oracle decides it
         g = commutator_range_gram(Element.monomial(1, 0), Element.monomial(0, 1), 3)
         assert g.is_hermitian()
-        assert psd_test(HermitianForm(g)).is_psd
+        is_psd, gram_rank = charpoly_psd(g)
+        assert is_psd
+        assert gram_rank == rank(g)
 
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -324,6 +329,14 @@ class TestGradedAssembly:
         self._check(phi, psi, 3)
 
 
+def combine(basis, coords):
+    """sum_j coords[j] e_j, formed here as a reference for the engine's."""
+    witness = Element.zero()
+    for coord, vec in zip(coords, basis.vectors):
+        witness = witness + vec.scale(coord)
+    return witness
+
+
 def fresh_certificate(phi, order_limit):
     """The certificate search with a new assembly at every order."""
     for order in range(1, order_limit + 1):
@@ -333,9 +346,7 @@ def fresh_certificate(phi, order_limit):
         if location is None:
             continue
         result = psd_test(HermitianForm(a))
-        witness = Element.zero()
-        for coord, vec in zip(result.witness, basis.vectors):
-            witness = witness + vec.scale(coord)
+        witness = combine(basis, result.witness)
         i, j = location
         return NotNormalCertificate(
             order, location, (basis.pairs[i], basis.pairs[j]), witness, result.value
@@ -397,6 +408,55 @@ class TestAcrossOrders:
             "--symbol", phi_text, "--symbol2", psi_text, "--N-max", str(n_max)
         )
         assert got == want
+
+
+# radial pairs with a non-real ratio: nonzero forms with a zero diagonal
+RADIAL_NONREAL = (
+    Element.monomial(1, 1) + Element.monomial(2, 2, GaussianRational(0, 1)),
+    parse_symbol("(3/5+4/5i) z zb + 2 z^3 zb^3 - 1"),
+)
+
+
+class TestTraceZeroForms:
+    """Every truncated self-commutator form has trace zero, so psd_test
+    finds it PSD exactly when it is zero, and its witness follows one of the
+    two rules read off the entries."""
+
+    @HYP
+    @given(symbols, orders)
+    @example(RADIAL_NONREAL[0], 2)
+    @example(RADIAL_NONREAL[1], 4)
+    @example(parse_symbol("z^2 zb"), 3)
+    @example(STAYS_ZERO, 5)
+    def test_witness_rules(self, phi, order):
+        basis = build_basis(order)
+        forms = SelfcommAssembly(phi)
+        a = forms.matrix(basis)
+        n = len(basis)
+        diagonal = [a[k, k] for k in range(n)]
+        assert sum(diagonal, start=GaussianRational(0)).is_zero
+        result = psd_test(a)
+        assert result.is_psd == a.is_zero == (forms.rank(basis) == 0)
+        if result.is_psd:
+            assert result.rank == 0
+            return
+        expected = [GaussianRational(0)] * n
+        if any(not d.is_zero for d in diagonal):
+            k = next(k for k, d in enumerate(diagonal) if d.re < 0)
+            expected[k] = GaussianRational(1)
+            assert result.value == diagonal[k].re
+        else:
+            i, j = a.first_nonzero()
+            expected[i] = GaussianRational(1)
+            expected[j] = -a[i, j].inverse()
+            assert result.value == -2
+        assert result.witness == expected
+        assert q_value(phi, combine(basis, result.witness)) == result.value
+
+    def test_engine_combination_matches_reference(self):
+        basis = build_basis(3)
+        coords = [GaussianRational(k - 4, k % 3) for k in range(len(basis))]
+        assert basis.combine(coords) == combine(basis, coords)
 
 
 class TestCommutatorParity:

@@ -1,11 +1,11 @@
-"""Exact PSD testing, Bareiss rank, realification, and matrix helpers."""
+"""Exact PSD testing of trace-zero forms, Bareiss rank, echelons, and matrix
+helpers."""
 
 import random
 from fractions import Fraction
 
 import pytest
-import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualtoeplitz import (
@@ -18,11 +18,11 @@ from dualtoeplitz import (
     parse_symbol,
     psd_test,
     rank,
-    realify,
     selfcomm_form_matrix,
 )
 from dualtoeplitz.linalg import Echelon, factored_rank
 
+from oracle_psd import charpoly_psd, sympy_matrix
 from oracle_rank import bruteforce_rank, matrix_to_pairs
 
 
@@ -50,34 +50,17 @@ small_fractions = st.fractions(
 )
 
 
-def _sympy_matrix(a):
-    return sp.Matrix(
-        [
-            [sp.Rational(a[i, j].re) + sp.I * sp.Rational(a[i, j].im) for j in range(a.cols)]
-            for i in range(a.rows)
-        ]
-    )
-
-
 def _sympy_rank(a):
-    return _sympy_matrix(a).rank()
+    return sympy_matrix(a).rank()
 
 
-def _charpoly_psd(mirror):
-    """Exact PSD decision: a Hermitian matrix is PSD iff every signed charpoly
-    coefficient (an elementary symmetric function of the eigenvalues, equally a
-    sum of principal minors) is >= 0.  Returns (is_psd, rank)."""
-    n = mirror.rows
-    coeffs = mirror.charpoly().all_coeffs()  # x^n down to x^0
-    signed = [sp.simplify((-1) ** k * coeffs[k]) for k in range(n + 1)]
-    assert all(c.is_real for c in signed)
-    is_psd = all(c >= 0 for c in signed)
-    zero_mult = 0
-    for c in reversed(coeffs):
-        if sp.simplify(c) != 0:
-            break
-        zero_mult += 1
-    return is_psd, n - zero_mult
+def _trace_free(h):
+    """n h - tr(h) I: the same off-diagonal pattern, trace zero."""
+    n = h.rows
+    trace = sum((h[k, k] for k in range(n)), start=gr(0))
+    return ExactMatrix.build(
+        n, n, lambda i, j: h[i, j] * n - trace if i == j else h[i, j] * n
+    )
 
 
 class TestExactMatrix:
@@ -118,31 +101,6 @@ class TestExactMatrix:
             HermitianForm(matrix([[0, 1], [2, 0]]))
 
 
-class TestRealify:
-    def test_layout(self):
-        # H = X + iY realifies to [[X, -Y], [Y, X]]
-        h = matrix([[(0, 0), (0, 1)], [(0, -1), (0, 0)]])
-        r = realify(HermitianForm(h))
-        expected = matrix(
-            [
-                [0, 0, 0, -1],
-                [0, 0, 1, 0],
-                [0, 1, 0, 0],
-                [-1, 0, 0, 0],
-            ]
-        )
-        assert r == expected
-
-    def test_rank_doubles(self):
-        rng = random.Random(1105)
-        for n in (2, 3, 4):
-            a = _random_matrix(rng, n, n)
-            h = ExactMatrix.build(
-                n, n, lambda i, j: a[i, j] + a[j, i].conjugate()
-            )
-            assert rank(realify(HermitianForm(h))) == 2 * rank(h)
-
-
 class TestFormValue:
     def test_quadratic_form(self):
         h = matrix([[2, (0, 1)], [(0, -1), 2]])
@@ -158,14 +116,22 @@ class TestFormValue:
         assert value.is_real
 
 
-class TestPsdTest:
-    def test_identity_is_psd(self):
-        result = psd_test(HermitianForm(matrix([[1, 0], [0, 1]])))
-        assert result.is_psd and result.rank == 2
+def _hermitian(n, re_parts, im_parts, diagonal):
+    """The Hermitian matrix with the given diagonal and upper triangle."""
 
-    def test_rank_deficient_psd(self):
-        result = psd_test(HermitianForm(matrix([[1, 1], [1, 1]])))
-        assert result.is_psd and result.rank == 1
+    def entry(i, j):
+        if i == j:
+            return gr(diagonal[i])
+        if i > j:
+            return entry(j, i).conjugate()
+        return gr(re_parts[i * n + j], im_parts[i * n + j])
+
+    return ExactMatrix.build(n, n, entry)
+
+
+class TestPsdTest:
+    """psd_test decides trace-zero Hermitian forms: PSD iff zero, else a
+    witness read off the entries."""
 
     def test_zero_matrix(self):
         result = psd_test(HermitianForm(ExactMatrix.zeros(3, 3)))
@@ -183,27 +149,24 @@ class TestPsdTest:
         assert not result.is_psd
         assert form_value(h, result.witness) == result.value < 0
 
-    def test_complex_indefinite(self):
-        h = matrix([[1, (0, 2)], [(0, -2), 1]])  # eigenvalues 1 +/- 2
-        result = psd_test(HermitianForm(h))
-        assert not result.is_psd
-        assert form_value(h, result.witness) == result.value < 0
-
-    def test_complex_psd(self):
-        h = matrix([[2, (0, 1)], [(0, -1), 2]])  # eigenvalues 2 +/- 1
-        result = psd_test(HermitianForm(h))
-        assert result.is_psd and result.rank == 2
-
-    def test_psd_with_late_negative(self):
-        # leading principal minors positive until the last step
-        h = matrix([[1, 2], [2, 1]])  # det = -3
-        result = psd_test(HermitianForm(h))
-        assert not result.is_psd
-        assert form_value(h, result.witness) == result.value < 0
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0], [0, 1]],
+            [[1, 1], [1, 1]],
+            [[1, (0, 2)], [(0, -2), 1]],
+            [[0, 1], [1, (1, 0)]],
+            [[-1, 0], [0, 0]],
+        ],
+        ids=["identity", "rank-one", "complex", "late-diagonal", "negative"],
+    )
+    def test_nonzero_trace_raises(self, rows):
+        with pytest.raises(ValueError, match="trace"):
+            psd_test(matrix(rows))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
-        st.integers(1, 5).flatmap(
+        st.integers(2, 5).flatmap(
             lambda n: st.tuples(
                 st.just(n),
                 st.lists(small_fractions, min_size=n * n, max_size=n * n),
@@ -214,24 +177,51 @@ class TestPsdTest:
         )
     )
     def test_negative_diagonal_gives_first_unit_witness(self, draw):
-        # the first negative diagonal entry A[k][k] is the witness e_k, with
-        # value A[k][k], whatever the off-diagonal entries are
+        # on a trace-zero form n h - tr(h) I, the first negative diagonal
+        # entry A[k][k] is the witness e_k, with value A[k][k], whatever the
+        # off-diagonal entries are
         n, re_parts, im_parts, forced, negative = draw
-
-        def entry(i, j):
-            if i == j:
-                return gr(negative if i == forced else re_parts[i * n + i])
-            if i > j:
-                return entry(j, i).conjugate()
-            return gr(re_parts[i * n + j], im_parts[i * n + j])
-
-        h = ExactMatrix.build(n, n, entry)
+        diagonal = [negative if i == forced else re_parts[i * n + i] for i in range(n)]
+        h = _trace_free(_hermitian(n, re_parts, im_parts, diagonal))
+        assume(any(not h[i, i].is_zero for i in range(n)))
         k = next(i for i in range(n) if h[i, i].re < 0)
         result = psd_test(HermitianForm(h))
         assert not result.is_psd
         assert result.witness == [gr(int(i == k)) for i in range(n)]
         assert result.value == h[k, k].re
         assert form_value(h, result.witness) == result.value
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(small_fractions, min_size=n * n, max_size=n * n),
+                st.lists(small_fractions, min_size=n * n, max_size=n * n),
+            )
+        ),
+        st.integers(0, 6),
+    )
+    def test_zero_diagonal_witness_has_value_minus_two(self, draw, zeros):
+        # at the first nonzero entry (i, j), e_i - h[i][j]^-1 e_j takes -2;
+        # zeroing the first row-major entries moves (i, j)
+        n, re_parts, im_parts = draw
+        for t in range(min(zeros, n * n)):
+            re_parts[t] = im_parts[t] = Fraction(0)
+        h = _hermitian(n, re_parts, im_parts, [0] * n)
+        result = psd_test(HermitianForm(h))
+        location = h.first_nonzero()
+        if location is None:
+            assert result.is_psd and result.rank == 0
+            return
+        i, j = location
+        expected = [gr(0)] * n
+        expected[i] = gr(1)
+        expected[j] = -h[i, j].inverse()
+        assert not result.is_psd
+        assert result.witness == expected
+        assert result.value == -2
+        assert form_value(h, result.witness) == -2
 
     def test_random_hermitian_agrees_with_charpoly_oracle(self):
         rng = random.Random(2204)
@@ -241,34 +231,20 @@ class TestPsdTest:
                 h = ExactMatrix.build(
                     n, n, lambda i, j: a[i, j] + a[j, i].conjugate()
                 )
-                self._check_against_oracle(h)
-
-    def test_random_gram_matrices_are_psd(self):
-        # A^H A is PSD; a wide A forces rank deficiency
-        rng = random.Random(5505)
-        for n, m in ((2, 3), (2, 4), (3, 4), (3, 5)):
-            a = _random_matrix(rng, n, m)
-            ah = a.conjugate_transpose()
-            g = ExactMatrix.build(
-                m,
-                m,
-                lambda i, j: sum(
-                    (ah[i, k] * a[k, j] for k in range(n)),
-                    start=GaussianRational(0),
-                ),
-            )
-            result = psd_test(HermitianForm(g))
-            assert result.is_psd
-            assert result.rank == rank(a) <= n < m
-            self._check_against_oracle(g)
+                self._check_against_oracle(_trace_free(h))
+                # and with the diagonal dropped
+                self._check_against_oracle(
+                    ExactMatrix.build(n, n, lambda i, j: gr(0) if i == j else h[i, j])
+                )
+        self._check_against_oracle(ExactMatrix.zeros(3, 3))
 
     @staticmethod
     def _check_against_oracle(h):
         result = psd_test(HermitianForm(h))
-        expected_psd, expected_rank = _charpoly_psd(_sympy_matrix(h))
+        expected_psd, expected_rank = charpoly_psd(h)
         assert result.is_psd == expected_psd
         if result.is_psd:
-            assert result.rank == expected_rank
+            assert result.rank == expected_rank == 0
         else:
             assert form_value(h, result.witness) == result.value < 0
 
