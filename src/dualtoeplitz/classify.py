@@ -161,26 +161,28 @@ def numeric_certificate(
     phi: Element, order_limit: int = DEFAULT_ORDER_LIMIT
 ) -> Certificate:
     """Search truncation orders 1..order_limit for a nonzero self-commutator
-    form matrix.  Each order is screened by the factored rank, which is 0
-    exactly when the form is zero and needs no entry; only the first order
-    of positive rank has its matrix built.  That form has trace zero, hence
-    is indefinite, and psd_test reads a witness with exact negative value off
-    its entries, which q_value re-verifies.  An all-zero run returns the
-    order reached.  One assembly serves every order, so each factor column
-    and entry is computed once.
+    form matrix.  Each order is screened by SelfcommAssembly.vanishes: the
+    form is zero exactly when the Gram of a maximal independent set of its
+    factor columns is, and that set grows with the order, so each order
+    checks only its newly chosen columns, with no basis and no entry of the
+    matrix.  Only the first order that does not vanish has its basis and
+    matrix built.  That form has trace zero, hence is indefinite, and
+    psd_test reads a witness with exact negative value off its entries,
+    which q_value re-verifies.  An all-zero run returns the order reached.
     """
     if order_limit < 1:
         raise ValueError("order limit must be >= 1")
     forms = SelfcommAssembly(phi)
     for order in range(1, order_limit + 1):
-        basis = build_basis(order)
-        if forms.rank(basis) == 0:
+        if forms.vanishes(order):
             continue
+        basis = build_basis(order)
         a = forms.matrix(basis)
         location = a.first_nonzero()
         if location is None:
             raise RuntimeError(
-                "positive factored rank with a zero form matrix; this is a bug"
+                "a nonzero Gram of the chosen factor columns with a zero form "
+                "matrix; this is a bug"
             )
         result = psd_test(a)
         witness = basis.combine(result.witness)

@@ -48,7 +48,19 @@ The rank needs no entries at all.  With V = range M,
 (linalg.factored_rank, which has the proof), found from one linalg.Echelon
 of the columns, grown by each order's new exponent pairs, and a basis of
 V^perp from back substitution through its pivots.  G^-1 = diag(+-(|d|+1))
-holds only ints.
+holds only ints.  The columns come from the exponent pairs themselves, so
+an order-by-order run (ranks, the screen below) builds no basis.
+
+Whether A is zero needs no rank either.  The echelon's pivots name a
+maximal independent set S of the columns, and every column is M_S t_j, so
+with T = (t_j)
+
+    A = T^H (M_S^H G M_S) T,  and M_S^H G M_S is the S x S submatrix of A:
+
+A = 0 exactly when <M_t, M_s>_G = 0 for all s, t in S.  S at order N - 1 is
+a prefix of S at order N, so SelfcommAssembly.vanishes checks each order's
+newly chosen columns against the ones before them: |S|^2 / 2 short dot
+products over a whole run of orders.
 
 The commutator factors the same way.  With P the complement projection,
 w_j = [S_phi, S_psi] e_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)), and
@@ -152,12 +164,22 @@ class TruncatedBasis:
         return out
 
 
+def _pairs(order: int) -> tuple[tuple[int, int], ...]:
+    """The exponent pairs (n, m), 1 <= n, m <= order, in basis order."""
+    return tuple((n, m) for n in range(1, order + 1) for m in range(1, order + 1))
+
+
+def _vector(pair: tuple[int, int]) -> Element:
+    """The basis vector e_{n,m} = (I - Q)(z^n conj(z)^m)."""
+    return complement_project(Element.monomial(*pair))
+
+
 def build_basis(order: int) -> TruncatedBasis:
     """Basis of span{e_{n,m}}: conjugation acts by the swap permutation sigma."""
     if order < 1:
         raise ValueError("basis order must be >= 1")
-    pairs = tuple((n, m) for n in range(1, order + 1) for m in range(1, order + 1))
-    vectors = tuple(complement_project(Element.monomial(n, m)) for n, m in pairs)
+    pairs = _pairs(order)
+    vectors = tuple(map(_vector, pairs))
     swap = tuple((m - 1) * order + (n - 1) for n, m in pairs)
     return TruncatedBasis(order=order, pairs=pairs, vectors=vectors, swap=swap)
 
@@ -191,20 +213,37 @@ def _basis(order: int | TruncatedBasis) -> TruncatedBasis:
     return order if isinstance(order, TruncatedBasis) else build_basis(order)
 
 
+def _order(order: int | TruncatedBasis) -> int:
+    if isinstance(order, TruncatedBasis):
+        return order.order
+    if order < 1:
+        raise ValueError("basis order must be >= 1")
+    return order
+
+
+def _new_pairs(order: int) -> list[Pair]:
+    """The exponent pairs with max(n, m) = order, in basis order."""
+    return [(n, order) for n in range(1, order)] + [
+        (order, m) for m in range(1, order + 1)
+    ]
+
+
 def _images(
     memo: dict[Pair, V],
-    basis: TruncatedBasis,
     image: Callable[[Element], V],
-    indices: Iterable[int],
-) -> dict[int, V]:
-    """image(e_i) for the basis indices i, computed once per exponent pair."""
-    pairs = basis.pairs
-    out = {}
-    for i in indices:
-        value = memo.get(pairs[i])
+    pairs: Sequence[Pair],
+    vectors: Sequence[Element] | None = None,
+) -> list[V]:
+    """image(e_{n,m}) for the exponent pairs, computed once per pair.  The
+    vectors e_{n,m} are those of a basis, in step with its pairs, or are
+    projected here when no basis is given."""
+    out = []
+    for k, pair in enumerate(pairs):
+        value = memo.get(pair)
         if value is None:
-            value = memo[pairs[i]] = image(basis.vectors[i])
-        out[i] = value
+            e = _vector(pair) if vectors is None else vectors[k]
+            value = memo[pair] = image(e)
+        out.append(value)
     return out
 
 
@@ -216,9 +255,10 @@ class _HarmonicFactor:
     A column holds the coefficient of h_d in Q(first e) under the key 2d and
     in Q(second e) under 2d + 1: at most one key per term of each symbol.
     One Echelon takes each order's new exponent pairs (max(n, m) = N) once,
-    in basis order.  Its pivots never change once made, so the pivots, chosen
-    pairs and column keys of any order reached are prefixes of the current
-    ones, and the set chosen at order N contains the one chosen at N - 1.
+    in basis order, with no basis built.  Its pivots never change once made,
+    so the pivots, chosen pairs and column keys of any order reached are
+    prefixes of the current ones, and the set chosen at order N contains the
+    one chosen at N - 1.
     """
 
     def __init__(self, first: Element, second: Element):
@@ -239,23 +279,22 @@ class _HarmonicFactor:
             out[2 * d + 1] = c
         return out
 
-    def columns(self, basis: TruncatedBasis) -> list[Column]:
-        """The column of every basis vector, in basis order."""
-        every = range(len(basis))
-        return list(_images(self._memo, basis, self._column, every).values())
+    def columns(
+        self, pairs: Sequence[Pair], vectors: Sequence[Element] | None = None
+    ) -> list[Column]:
+        """The columns of the exponent pairs, in their order (see _images)."""
+        return _images(self._memo, self._column, pairs, vectors)
 
-    def selection(self, basis: TruncatedBasis) -> tuple[list[Pair], list[int]]:
-        """The chosen exponent pairs and the column keys at the basis's order."""
-        while len(self._sizes) < basis.order:
-            top = len(self._sizes) + 1
-            new = [basis.index(n, top) for n in range(1, top)]
-            new += [basis.index(top, m) for m in range(1, top + 1)]
-            for i, column in _images(self._memo, basis, self._column, new).items():
+    def selection(self, order: int) -> tuple[list[Pair], list[int]]:
+        """The chosen exponent pairs and the column keys at this order."""
+        while len(self._sizes) < order:
+            new = _new_pairs(len(self._sizes) + 1)
+            for pair, column in zip(new, self.columns(new)):
                 self._keys.update(dict.fromkeys(column))
                 if self.echelon.add(column):
-                    self._chosen.append(basis.pairs[i])
+                    self._chosen.append(pair)
             self._sizes.append((len(self._chosen), len(self._keys)))
-        chosen, keys = self._sizes[basis.order - 1]
+        chosen, keys = self._sizes[order - 1]
         return self._chosen[:chosen], list(self._keys)[:keys]
 
 
@@ -310,11 +349,13 @@ class SelfcommAssembly:
         self._entries: dict[tuple[Pair, Pair], GaussianRational] = {}
         # M_j = (Q(conj(phi) e_j), Q(phi e_j)), the factor of the form
         self._factor = _HarmonicFactor(adjoint_symbol(phi), phi)
+        # how many chosen columns have a zero Gram <M_t, M_s>_G among them
+        self._checked = 0
 
     def matrix(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See selfcomm_form_matrix."""
         basis = _basis(order)
-        columns = self.factor(basis)
+        columns = self._factor.columns(basis.pairs, basis.vectors)
         return _fill(
             basis,
             self._shifts,
@@ -326,12 +367,30 @@ class SelfcommAssembly:
     def factor(self, order: int | TruncatedBasis) -> list[Column]:
         """The factor columns M_j = (Q(conj(phi) e_j), Q(phi e_j)) in basis
         order, keyed as in the module docstring."""
-        return self._factor.columns(_basis(order))
+        return self._factor.columns(_pairs(_order(order)))
+
+    def vanishes(self, order: int | TruncatedBasis) -> bool:
+        """Whether the form matrix is zero at this order, from the Gram of the
+        chosen columns alone (module docstring).  The chosen set only grows
+        with the order, so each order checks its new columns against the
+        ones before them, and the checked prefix advances when a whole order
+        passes."""
+        chosen, _ = self._factor.selection(_order(order))
+        if len(chosen) <= self._checked:
+            return True
+        columns = self._factor.columns(chosen)
+        for s in range(self._checked, len(chosen)):
+            column = columns[s]
+            for t in range(s + 1):
+                if not kernel.factor_form(columns[t], column).is_zero:
+                    return False
+        self._checked = len(chosen)
+        return True
 
     def rank(self, order: int | TruncatedBasis) -> int:
         """Rank of the form matrix at this order, from the factor's echelon
         alone (module docstring)."""
-        chosen, keys = self._factor.selection(_basis(order))
+        chosen, keys = self._factor.selection(_order(order))
         echelon = self._factor.echelon
         return factored_rank(
             echelon, len(chosen), echelon, len(chosen), keys, _inverse_weight
@@ -373,20 +432,21 @@ class CommutatorAssembly:
         self._span_sizes = [0]
 
     def _images(
-        self, basis: TruncatedBasis, indices: Iterable[int]
-    ) -> dict[int, Element]:
+        self, pairs: Sequence[Pair], vectors: Sequence[Element] | None = None
+    ) -> list[Element]:
         phi, psi = self._phi, self._psi
         return _images(
             self._w,
-            basis,
             lambda e: apply(phi, apply(psi, e)) - apply(psi, apply(phi, e)),
-            indices,
+            pairs,
+            vectors,
         )
 
     def pairing(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See commutator_matrix."""
         basis = _basis(order)
-        columns, rows = self.factors(basis)
+        columns = self._columns.columns(basis.pairs, basis.vectors)
+        rows = self._rows.columns(basis.pairs, basis.vectors)
         return _fill(
             basis,
             self._shifts,
@@ -398,7 +458,7 @@ class CommutatorAssembly:
     def range_gram(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See commutator_range_gram."""
         basis = _basis(order)
-        w = self._images(basis, range(len(basis)))
+        w = self._images(basis.pairs, basis.vectors)
         return _fill(
             basis,
             self._gram_shifts,
@@ -416,8 +476,8 @@ class CommutatorAssembly:
         """The column factors C_j = (Q(phi e_j), Q(psi e_j)) and the row
         factors R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i)) in basis order,
         keyed as in the module docstring."""
-        basis = _basis(order)
-        return self._columns.columns(basis), self._rows.columns(basis)
+        pairs = _pairs(_order(order))
+        return self._columns.columns(pairs), self._rows.columns(pairs)
 
     def ranks(self, order: int | TruncatedBasis) -> tuple[int, int]:
         """Ranks of the pairing and the range Gram at this order: factored_rank
@@ -425,9 +485,9 @@ class CommutatorAssembly:
         maximal independent set S of the columns C_j.  S at order N - 1 is a
         prefix of S at order N, so one span echelon grows along S and each
         image is reduced once over a run of orders."""
-        basis = _basis(order)
-        chosen, column_keys = self._columns.selection(basis)
-        row_chosen, row_keys = self._rows.selection(basis)
+        order = _order(order)
+        chosen, column_keys = self._columns.selection(order)
+        row_chosen, row_keys = self._rows.selection(order)
         pairing_rank = factored_rank(
             self._columns.echelon,
             len(chosen),
@@ -438,8 +498,7 @@ class CommutatorAssembly:
         )
         sizes = self._span_sizes
         if len(sizes) <= len(chosen):
-            new = (basis.index(n, m) for n, m in chosen[len(sizes) - 1 :])
-            for w in self._images(basis, new).values():
+            for w in self._images(chosen[len(sizes) - 1 :]):
                 self._span.add(w._terms)
                 sizes.append(len(self._span.pivots))
         return pairing_rank, sizes[len(chosen)]

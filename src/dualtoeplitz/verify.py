@@ -37,9 +37,9 @@ from .classify import (
     numeric_certificate,
 )
 from .engine import (
+    CommutatorAssembly,
     apply,
     build_basis,
-    commutator_matrices,
     q_value,
     selfcomm_form_matrix,
     test_vector,
@@ -396,13 +396,13 @@ def _suite_commutator(n_max: int | None = None) -> SuiteReport:
     orders = [N for N in COMMUTATOR_ORDERS if N <= top]
     report = SuiteReport("commutator-parity")
     for phi_text, psi_text, expected_ranks in COMMUTATOR_GRID:
-        phi = parse_symbol(phi_text)
-        psi = parse_symbol(psi_text)
+        # one assembly per pair keeps its entries and images across orders
+        pair = CommutatorAssembly(parse_symbol(phi_text), parse_symbol(psi_text))
         for N, expected in zip(COMMUTATOR_ORDERS, expected_ranks):
             if N not in orders:
                 continue
             basis = build_basis(N)
-            matrix, gram = commutator_matrices(phi, psi, basis)
+            matrix, gram = pair.matrices(basis)
             swapped = matrix.permute_rows(basis.swap)
             report.check(
                 is_antisymmetric(swapped),

@@ -1,6 +1,7 @@
 """Operator action, probe vectors, truncated bases, and form matrices."""
 
 import contextlib
+import importlib
 import io
 import json
 import random
@@ -457,6 +458,111 @@ class TestTraceZeroForms:
         basis = build_basis(3)
         coords = [GaussianRational(k - 4, k % 3) for k in range(len(basis))]
         assert basis.combine(coords) == combine(basis, coords)
+
+
+# forms that vanish through orders 1..2 and 1..3, then do not: they walk the
+# screen's checked prefix forward before it stops
+LATE_NONZERO = (
+    parse_symbol("(-2+1i) zb^3 + (-2-1i) z^2 zb^2 + (-2+1i) z^3"),
+    parse_symbol("2 zb^4 + (-1-2i) z^3 zb^3 + 2 z^4"),
+)
+
+
+def first_nonzero_order(phi, order_limit):
+    """The first order whose freshly built form matrix is nonzero, or None."""
+    for order in range(1, order_limit + 1):
+        if not selfcomm_form_matrix(phi, order).is_zero:
+            return order
+    return None
+
+
+class TestGramScreen:
+    """SelfcommAssembly.vanishes decides A = 0 from the Gram of the chosen
+    factor columns, checked a prefix at a time across orders; it must agree
+    with the rank, with the matrix, and with a fresh search."""
+
+    @HYP
+    @given(symbols, orders)
+    @example(LATE_NONZERO[0], 3)
+    @example(LATE_NONZERO[1], 4)
+    @example(STAYS_ZERO, 5)
+    def test_vanishes_iff_rank_zero_iff_zero_matrix(self, phi, order):
+        vanishes = SelfcommAssembly(phi).vanishes(order)
+        assert vanishes == (SelfcommAssembly(phi).rank(order) == 0)
+        assert vanishes == SelfcommAssembly(phi).matrix(order).is_zero
+
+    @HYP
+    @given(symbols, orders)
+    @example(LATE_NONZERO[0], 5)
+    @example(LATE_NONZERO[1], 5)
+    @example(STAYS_ZERO, 5)
+    def test_walked_and_jumped_assemblies_agree(self, phi, top):
+        walked = SelfcommAssembly(phi)
+        walk = [walked.vanishes(order) for order in range(1, top + 1)]
+        jumped = SelfcommAssembly(phi)
+        jumped.vanishes(top)
+        assert [jumped.vanishes(order) for order in range(1, top + 1)] == walk
+        fresh = [
+            selfcomm_form_matrix(phi, order).is_zero for order in range(1, top + 1)
+        ]
+        assert walk == fresh
+
+    @HYP
+    @given(symbols, orders)
+    @example(LATE_NONZERO[0], 5)
+    @example(LATE_NONZERO[1], 5)
+    @example(STAYS_ZERO, 5)
+    def test_certificate_order_is_first_nonzero_fresh_order(self, phi, order_limit):
+        cert = numeric_certificate(phi, order_limit)
+        first = first_nonzero_order(phi, order_limit)
+        if first is None:
+            assert cert == ZeroMatrixCertificate(order_limit)
+        else:
+            assert isinstance(cert, NotNormalCertificate)
+            assert cert.order == first
+        if phi in LATE_NONZERO:
+            assert first == LATE_NONZERO.index(phi) + 3
+
+
+class TestOrderPathsBuildNoBasis:
+    """Ranks, the Gram screen and a zero-through-order certificate search
+    go order by order from exponent pairs, with no basis built."""
+
+    @pytest.fixture
+    def no_basis(self, monkeypatch):
+        engine = importlib.import_module("dualtoeplitz.engine")
+        classify = importlib.import_module("dualtoeplitz.classify")
+        bases = {order: build_basis(order) for order in range(1, 7)}
+
+        def refuse(order):
+            raise AssertionError(f"build_basis({order}) called")
+
+        monkeypatch.setattr(engine, "build_basis", refuse)
+        monkeypatch.setattr(classify, "build_basis", refuse)
+        return bases
+
+    def test_ranks_build_no_basis(self, no_basis):
+        phi = parse_symbol("zb^2 + z + z^3 zb")
+        psi = parse_symbol("z^2 zb + z^3")
+        forms, pair = SelfcommAssembly(phi), CommutatorAssembly(psi, phi)
+        got = [(forms.rank(order), pair.ranks(order)) for order in range(1, 7)]
+        assert [forms.vanishes(order) for order in range(1, 7)] == [
+            r == 0 for r, _ in got
+        ]
+        by_basis = [
+            (
+                SelfcommAssembly(phi).rank(basis),
+                CommutatorAssembly(psi, phi).ranks(basis),
+            )
+            for basis in no_basis.values()
+        ]
+        assert got == by_basis
+        assert [r for r, _ in got] == [0, 2, 6, 12, 18, 24]
+
+    def test_zero_search_builds_no_basis(self, no_basis):
+        assert numeric_certificate(STAYS_ZERO, 6) == ZeroMatrixCertificate(6)
+        phi = parse_symbol("z^2 zb + z zb^2 + z zb")
+        assert numeric_certificate(phi, 6) == ZeroMatrixCertificate(6)
 
 
 class TestCommutatorParity:
