@@ -2,7 +2,9 @@
 
 Exact Gaussian-rational scalars and the bulk operations on monomial term maps
 (products, inner products, projection onto the complement of the harmonic
-functions).  Every other module does its scalar and term-map arithmetic here.
+functions, and the harmonic projection of a symbol times a basis vector,
+from the vector's exponents in closed form).  Every other module does its
+scalar and term-map arithmetic here.
 
 A scalar is stored as a normalized integer triple (a, b, d) meaning
 (a + b*i)/d with d > 0 and gcd(a, b, d) = 1.  A term map is a dict mapping
@@ -392,35 +394,45 @@ def terms_apply(phi: dict, f: dict) -> dict:
     return terms_complement(terms_product(phi, f))
 
 
-def terms_harmonic_product(phi: dict, f: dict) -> dict:
-    """Harmonic projection Q(phi*f) as {d: coefficient of h_d}.
+def terms_harmonic_factor(phi: dict, n: int, m: int) -> dict:
+    """Harmonic projection Q(phi e_{n,m}) as {d: coefficient of h_d}, from
+    the exponents alone, n, m >= 1.
 
     h_d is the one harmonic monomial of frequency d: z^d for d >= 0 and
     conj(z)^(-d) for d < 0.  Monomial rule:
     Q(z^a conj(z)^b) = ((|a-b|+1)/(max(a,b)+1)) h_(a-b), the harmonic part
-    that terms_complement removes.  Each frequency's sum is kept as two int
-    numerators over one denominator and normalized once.
+    that terms_complement removes.  So e_{n,m} = z^n conj(z)^m - k h_(n-m),
+    with k = (|n-m|+1)/(max(n,m)+1) and h_(n-m) = z^p conj(z)^q,
+    p = max(n-m, 0), q = max(m-n, 0), and a term c z^a conj(z)^b of phi adds
+    to the frequency d = a - b + n - m
+
+        c (|d|+1) [1/(max(n+a, m+b)+1) - k/(max(a+p, b+q)+1)].
+
+    Each frequency's sum is kept as two int numerators over one denominator
+    and normalized once.
     """
+    shift = n - m
+    p, q = max(shift, 0), max(-shift, 0)
+    top = max(n, m) + 1
+    width = abs(shift) + 1
     sums: dict = {}
-    for (n1, m1), c1 in phi.items():
-        a1, b1, d1 = c1._a, c1._b, c1._d
-        for (n2, m2), c2 in f.items():
-            a = n1 + n2
-            b = m1 + m2
-            d = a - b
-            a2, b2 = c2._a, c2._b
-            p = abs(d) + 1
-            x = (a1 * a2 - b1 * b2) * p
-            y = (a1 * b2 + b1 * a2) * p
-            den = d1 * c2._d * (max(a, b) + 1)
-            acc = sums.get(d)
-            if acc is None:
-                sums[d] = [x, y, den]
-            elif acc[2] == den:
-                acc[0] += x
-                acc[1] += y
-            else:
-                acc[0] = acc[0] * den + x * acc[2]
-                acc[1] = acc[1] * den + y * acc[2]
-                acc[2] *= den
+    for (a, b), c in phi.items():
+        d = a - b + shift
+        big = max(n + a, m + b) + 1
+        small = max(a + p, b + q) + 1
+        # (|d|+1) (1/big - width/(top small)) over big small top
+        w = (abs(d) + 1) * (top * small - width * big)
+        x = c._a * w
+        y = c._b * w
+        den = c._d * big * small * top
+        acc = sums.get(d)
+        if acc is None:
+            sums[d] = [x, y, den]
+        elif acc[2] == den:
+            acc[0] += x
+            acc[1] += y
+        else:
+            acc[0] = acc[0] * den + x * acc[2]
+            acc[1] = acc[1] * den + y * acc[2]
+            acc[2] *= den
     return {d: _norm(x, y, den) for d, (x, y, den) in sums.items() if x or y}

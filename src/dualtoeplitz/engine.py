@@ -48,8 +48,23 @@ The rank needs no entries at all.  With V = range M,
 (linalg.factored_rank, which has the proof), found from one linalg.Echelon
 of the columns, grown by each order's new exponent pairs, and a basis of
 V^perp from back substitution through its pivots.  G^-1 = diag(+-(|d|+1))
-holds only ints.  The columns come from the exponent pairs themselves, so
-an order-by-order run (ranks, the screen below) builds no basis.
+holds only ints.
+
+Each column has a closed form in its exponent pair.  With
+e_{n,m} = z^n conj(z)^m - k h_{n-m}, k = (|n-m|+1)/(max(n,m)+1), a term
+c z^a conj(z)^b of a symbol adds to h_d, d = a - b + n - m, the amount
+c (|d|+1) [1/(max(n+a, m+b)+1) - k/(max(a+p, b+q)+1)] with p = max(n-m, 0)
+and q = max(m-n, 0) (_kernel.terms_harmonic_factor).  So no run of orders
+(ranks, the screen below, the form matrix, the pairing) projects or builds
+a basis.
+
+The echelon is graded by frequency.  The column of e_{n,m} holds only the
+keys 2(d+f) and 2(d+f)+1 with d = n - m and f a frequency of a symbol term,
+so each frequency d keeps a small Echelon of its own columns.  A column
+that depends on the earlier columns of its frequency depends on all earlier
+ones, so only a column that makes a pivot there is reduced in the shared
+echelon: the same columns are chosen and make the same pivots, and most
+columns never reach it.
 
 Whether A is zero needs no rank either.  The echelon's pivots name a
 maximal independent set S of the columns, and every column is M_S t_j, so
@@ -254,11 +269,16 @@ class _HarmonicFactor:
 
     A column holds the coefficient of h_d in Q(first e) under the key 2d and
     in Q(second e) under 2d + 1: at most one key per term of each symbol.
+    It comes from its exponent pair alone (_kernel.terms_harmonic_factor).
     One Echelon takes each order's new exponent pairs (max(n, m) = N) once,
     in basis order, with no basis built.  Its pivots never change once made,
     so the pivots, chosen pairs and column keys of any order reached are
     prefixes of the current ones, and the set chosen at order N contains the
     one chosen at N - 1.
+
+    The selection is graded by frequency (module docstring): each column
+    first goes to a small Echelon of the columns with its n - m, and only
+    one that makes a pivot there goes on to the shared one.
     """
 
     def __init__(self, first: Element, second: Element):
@@ -266,33 +286,42 @@ class _HarmonicFactor:
         self._second = second._terms
         self._memo: dict[Pair, Column] = {}
         self.echelon = Echelon()
+        # n - m -> the echelon of the columns of that frequency
+        self._graded: defaultdict[int, Echelon] = defaultdict(Echelon)
         self._chosen: list[Pair] = []
         # keys held by the columns, in order of appearance
         self._keys: dict[int, None] = {}
         # per order 1, 2, ...: (pairs chosen, keys held) through that order
         self._sizes: list[tuple[int, int]] = []
 
-    def _column(self, e: Element) -> Column:
-        first = kernel.terms_harmonic_product(self._first, e._terms)
+    def _column(self, n: int, m: int) -> Column:
+        first = kernel.terms_harmonic_factor(self._first, n, m)
         out = {2 * d: c for d, c in first.items()}
-        for d, c in kernel.terms_harmonic_product(self._second, e._terms).items():
+        for d, c in kernel.terms_harmonic_factor(self._second, n, m).items():
             out[2 * d + 1] = c
         return out
 
-    def columns(
-        self, pairs: Sequence[Pair], vectors: Sequence[Element] | None = None
-    ) -> list[Column]:
-        """The columns of the exponent pairs, in their order (see _images)."""
-        return _images(self._memo, self._column, pairs, vectors)
+    def columns(self, pairs: Sequence[Pair]) -> list[Column]:
+        """The columns of the exponent pairs, in their order, each computed
+        once."""
+        memo = self._memo
+        out = []
+        for pair in pairs:
+            column = memo.get(pair)
+            if column is None:
+                column = memo[pair] = self._column(*pair)
+            out.append(column)
+        return out
 
     def selection(self, order: int) -> tuple[list[Pair], list[int]]:
         """The chosen exponent pairs and the column keys at this order."""
+        graded = self._graded
         while len(self._sizes) < order:
             new = _new_pairs(len(self._sizes) + 1)
-            for pair, column in zip(new, self.columns(new)):
+            for (n, m), column in zip(new, self.columns(new)):
                 self._keys.update(dict.fromkeys(column))
-                if self.echelon.add(column):
-                    self._chosen.append(pair)
+                if graded[n - m].add(column) and self.echelon.add(column):
+                    self._chosen.append((n, m))
             self._sizes.append((len(self._chosen), len(self._keys)))
         chosen, keys = self._sizes[order - 1]
         return self._chosen[:chosen], list(self._keys)[:keys]
@@ -305,19 +334,19 @@ def _inverse_weight(key: int) -> int:
 
 
 def _fill(
-    basis: TruncatedBasis,
+    pairs: Sequence[Pair],
     shifts: set[int],
     memo: dict[tuple[Pair, Pair], GaussianRational],
     entry: Callable[[int, int], GaussianRational],
     hermitian: bool,
 ) -> ExactMatrix:
-    """The matrix on the basis: entry(i, j) on the allowed pairs, computed
-    once per pair of exponent pairs.  A Hermitian matrix computes j >= i and
-    conjugates below the diagonal; the lexicographic basis order makes j >= i
-    the same condition at every truncation order.  Zero entries and real
-    mirror entries share one object, so keeping entries across orders costs
-    no more memory than one matrix."""
-    pairs = basis.pairs
+    """The matrix on the basis of these exponent pairs: entry(i, j) on the
+    allowed pairs, computed once per pair of exponent pairs.  A Hermitian
+    matrix computes j >= i and conjugates below the diagonal; the
+    lexicographic basis order makes j >= i the same condition at every
+    truncation order.  Zero entries and real mirror entries share one
+    object, so keeping entries across orders costs no more memory than one
+    matrix."""
     a = ExactMatrix.zeros(len(pairs), len(pairs))
     for i, j in _allowed(pairs, shifts):
         if hermitian and j < i:
@@ -354,10 +383,10 @@ class SelfcommAssembly:
 
     def matrix(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See selfcomm_form_matrix."""
-        basis = _basis(order)
-        columns = self._factor.columns(basis.pairs, basis.vectors)
+        pairs = _pairs(_order(order))
+        columns = self._factor.columns(pairs)
         return _fill(
-            basis,
+            pairs,
             self._shifts,
             self._entries,
             lambda i, j: kernel.factor_form(columns[i], columns[j]),
@@ -444,11 +473,11 @@ class CommutatorAssembly:
 
     def pairing(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See commutator_matrix."""
-        basis = _basis(order)
-        columns = self._columns.columns(basis.pairs, basis.vectors)
-        rows = self._rows.columns(basis.pairs, basis.vectors)
+        pairs = _pairs(_order(order))
+        columns = self._columns.columns(pairs)
+        rows = self._rows.columns(pairs)
         return _fill(
-            basis,
+            pairs,
             self._shifts,
             self._pairing,
             lambda i, j: kernel.factor_form(rows[i], columns[j]),
@@ -460,7 +489,7 @@ class CommutatorAssembly:
         basis = _basis(order)
         w = self._images(basis.pairs, basis.vectors)
         return _fill(
-            basis,
+            basis.pairs,
             self._gram_shifts,
             self._gram,
             lambda i, j: inner_product(w[j], w[i]),

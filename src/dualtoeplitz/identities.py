@@ -13,9 +13,9 @@ expansion, so every check stays univariate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .algebra import (
     Element,
@@ -268,8 +268,7 @@ def two_term_defect_poly(n1: int, m1: int, n2: int, m2: int, s) -> RationalPolyn
     return ag + sbg - cg - sdg
 
 
-@dataclass(frozen=True)
-class SpecialPointCheck:
+class SpecialPointCheck(NamedTuple):
     """One extreme-exponent evaluation of the defect components.
 
     At the point, the three components tied to the non-extreme exponents must

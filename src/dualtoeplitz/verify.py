@@ -25,7 +25,6 @@ Suite names:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import SUITE_NAMES
@@ -135,13 +134,15 @@ COMMUTATOR_GRID: tuple[tuple[str, str, tuple[int, int, int, int]], ...] = (
 COMMUTATOR_ORDERS = (2, 3, 4, 5)
 
 
-@dataclass
 class SuiteReport:
     """Outcome of one suite: how many checks ran and which ones failed."""
 
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("name", "checks", "failures")
+
+    def __init__(self, name: str, checks: int = 0, failures: list[str] | None = None):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

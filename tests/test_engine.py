@@ -40,6 +40,7 @@ from dualtoeplitz import (
 )
 from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
+from dualtoeplitz.engine import _HarmonicFactor
 from dualtoeplitz.linalg import Echelon, factored_rank
 
 from oracle_psd import charpoly_psd
@@ -564,6 +565,29 @@ class TestOrderPathsBuildNoBasis:
         phi = parse_symbol("z^2 zb + z zb^2 + z zb")
         assert numeric_certificate(phi, 6) == ZeroMatrixCertificate(6)
 
+    def test_factor_paths_project_nothing(self, monkeypatch):
+        # the factor columns come from the exponent pairs in closed form, so
+        # ranks, the screen, the form matrix and the pairing of an order
+        # project no basis vector
+        engine = importlib.import_module("dualtoeplitz.engine")
+        want = [
+            selfcomm_form_matrix(STAYS_ZERO, order).is_zero for order in range(1, 7)
+        ]
+        phi = parse_symbol("zb^2 + z + z^3 zb")
+        psi = parse_symbol("z^2 zb + z^3")
+        reference = CommutatorAssembly(psi, phi).pairing(6)
+
+        def refuse(f):
+            raise AssertionError("complement_project called")
+
+        monkeypatch.setattr(engine, "complement_project", refuse)
+        forms, zero = SelfcommAssembly(phi), SelfcommAssembly(STAYS_ZERO)
+        assert [forms.rank(order) for order in range(1, 7)] == [0, 2, 6, 12, 18, 24]
+        assert [forms.vanishes(order) for order in range(1, 7)] == [True] + [False] * 5
+        assert [zero.vanishes(order) for order in range(1, 7)] == want
+        assert not forms.matrix(6).is_zero
+        assert CommutatorAssembly(psi, phi).pairing(6) == reference
+
 
 class TestCommutatorParity:
     """Swap-conjugated antisymmetry and even rank hold for every symbol pair,
@@ -899,3 +923,46 @@ class TestFactorForm:
         # 4N + 4 at N = 24 (rank 100 of 576), found by the core path of
         # rank A[S, S] with Bareiss elimination
         assert SelfcommAssembly(parse_symbol(WIDE_TOP)).rank(24) == 100
+
+
+class TestClosedFormColumns:
+    """Factor columns from the exponent pairs alone, and the selection graded
+    by frequency, against the projections and one plain Echelon."""
+
+    @HYP
+    @given(factor_symbols)
+    @example(parse_symbol("(-12/13+5/13i) zb^2 + (3/5-4/5i) z + 1/2"))
+    @example(parse_symbol("3 + z^4 zb^4"))
+    def test_columns_match_projections(self, phi):
+        bar = adjoint_symbol(phi)
+        pairs = [(n, m) for n in range(1, 9) for m in range(1, 9)]
+        columns = SelfcommAssembly(phi).factor(8)
+        assert len(columns) == len(pairs)
+        for (n, m), column in zip(pairs, columns):
+            e = complement_project(Element.monomial(n, m))
+            want = {}
+            for half, symbol in enumerate((bar, phi)):
+                for (a, b), c in harmonic_project(symbol * e)._terms.items():
+                    want[2 * (a - b) + half] = _triple(c)
+            assert {key: _triple(c) for key, c in column.items()} == want
+
+    @HYP
+    @given(factor_symbols, symbols)
+    @example(parse_symbol(WIDE_TOP), parse_symbol("z^2 zb + z^3"))
+    def test_graded_selection_matches_one_echelon(self, phi, psi):
+        # orders 1..8, each order's new pairs in basis order, as the
+        # selection takes them
+        pairs = sorted(
+            ((n, m) for n in range(1, 9) for m in range(1, 9)),
+            key=lambda pair: (max(pair), pair),
+        )
+        for first, second in ((adjoint_symbol(phi), phi), (phi, psi)):
+            factor = _HarmonicFactor(first, second)
+            chosen, keys = factor.selection(8)
+            plain = Echelon()
+            columns = factor.columns(pairs)
+            assert chosen == [
+                pair for pair, column in zip(pairs, columns) if plain.add(column)
+            ]
+            assert factor.echelon.pivots == plain.pivots
+            assert keys == list(dict.fromkeys(k for c in columns for k in c))
