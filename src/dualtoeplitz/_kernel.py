@@ -18,6 +18,14 @@ terms_inner indexes the second map by that frequency n - m, so only pairs of
 equal frequency meet, and it sums their products in plain ints grouped by
 denominator, building one scalar (one gcd) per inner product instead of
 several per term pair.
+
+The bulk kernels normalize each value they return once, and no intermediate
+scalar: terms_apply sums each key's product terms and harmonic corrections
+as ints before one gcd, terms_harmonic_factor does the same per frequency,
+and terms_sub_scaled (one elimination step of linalg.Echelon) keeps c*s as
+an unnormalized triple and normalizes x - c*s once.  The normalized triple
+of a value is unique, so these give the same triples as step-by-step
+scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -389,9 +397,77 @@ def terms_complement(f: dict) -> dict:
     return {key: c for key, c in out.items() if not c.is_zero}
 
 
+def _accumulate(sums: dict, key, x: int, y: int, den: int) -> None:
+    """Add (x + yi)/den to sums[key], kept as [re, im, den] ints and never
+    normalized: equal denominators add, others are cross-multiplied."""
+    acc = sums.get(key)
+    if acc is None:
+        sums[key] = [x, y, den]
+    elif acc[2] == den:
+        acc[0] += x
+        acc[1] += y
+    else:
+        acc[0] = acc[0] * den + x * acc[2]
+        acc[1] = acc[1] * den + y * acc[2]
+        acc[2] *= den
+
+
 def terms_apply(phi: dict, f: dict) -> dict:
-    """Dual Toeplitz action on term maps: complement projection of phi*f."""
-    return terms_complement(terms_product(phi, f))
+    """Dual Toeplitz action on term maps: complement projection of phi*f,
+    in one pass.
+
+    A product monomial z^n conj(z)^m with n = 0 or m = 0 is harmonic, so its
+    projection is 0 and it is skipped.  Any other product term c adds c to
+    its own key and -c (|n-m|+1)/(max(n,m)+1) to the key of h_(n-m), the
+    terms_complement rule.  Each key's sum is kept as int numerators over
+    one denominator and normalized once, so the result holds the same
+    normalized triples as terms_complement(terms_product(phi, f)).
+    """
+    sums: dict = {}
+    for (n1, m1), c1 in phi.items():
+        a1, b1, d1 = c1._a, c1._b, c1._d
+        for (n2, m2), c2 in f.items():
+            n = n1 + n2
+            m = m1 + m2
+            if not n or not m:
+                continue
+            a2, b2 = c2._a, c2._b
+            x = a1 * a2 - b1 * b2
+            y = a1 * b2 + b1 * a2
+            den = d1 * c2._d
+            _accumulate(sums, (n, m), x, y, den)
+            if m <= n:
+                w = -(n - m + 1)
+                _accumulate(sums, (n - m, 0), x * w, y * w, den * (n + 1))
+            else:
+                w = -(m - n + 1)
+                _accumulate(sums, (0, m - n), x * w, y * w, den * (m + 1))
+    return {key: _norm(x, y, den) for key, (x, y, den) in sums.items() if x or y}
+
+
+def terms_sub_scaled(v: dict, f: dict, s: GaussianRational) -> None:
+    """v <- v - s*f in place, dropping the keys that cancel.
+
+    Each product c*s stays an unnormalized int triple, so an entry that v
+    already holds is normalized once, as x - c*s, and not twice.
+    """
+    sa, sb, sd = s._a, s._b, s._d
+    for key, c in f.items():
+        ca, cb = c._a, c._b
+        p = ca * sa - cb * sb
+        q = ca * sb + cb * sa
+        den = c._d * sd
+        x = v.get(key)
+        if x is None:
+            v[key] = _norm(-p, -q, den)
+            continue
+        xd = x._d
+        a = x._a * den - p * xd
+        b = x._b * den - q * xd
+        if a or b:
+            v[key] = _norm(a, b, xd * den)
+        else:
+            del v[key]
 
 
 def terms_harmonic_factor(phi: dict, n: int, m: int) -> dict:
@@ -422,17 +498,5 @@ def terms_harmonic_factor(phi: dict, n: int, m: int) -> dict:
         small = max(a + p, b + q) + 1
         # (|d|+1) (1/big - width/(top small)) over big small top
         w = (abs(d) + 1) * (top * small - width * big)
-        x = c._a * w
-        y = c._b * w
-        den = c._d * big * small * top
-        acc = sums.get(d)
-        if acc is None:
-            sums[d] = [x, y, den]
-        elif acc[2] == den:
-            acc[0] += x
-            acc[1] += y
-        else:
-            acc[0] = acc[0] * den + x * acc[2]
-            acc[1] = acc[1] * den + y * acc[2]
-            acc[2] *= den
+        _accumulate(sums, d, c._a * w, c._b * w, c._d * big * small * top)
     return {d: _norm(x, y, den) for d, (x, y, den) in sums.items() if x or y}

@@ -38,7 +38,8 @@ from .engine import (
     CommutatorAssembly,
     SelfcommAssembly,
     apply,
-    build_basis,
+    exponent_pairs,
+    swap_permutation,
 )
 from .linalg import is_antisymmetric, psd_test
 from .matrix import ExactMatrix
@@ -123,28 +124,30 @@ def _cmd_matrix(args) -> tuple[str, int]:
     if args.N < 1:
         raise UsageError("--N must be >= 1")
     phi = parse_symbol(args.symbol)
-    basis = build_basis(args.N)
+    pairs = exponent_pairs(args.N)
     if args.kind == "selfcomm":
         if args.symbol2 is not None:
             raise UsageError("selfcomm takes a single symbol")
         forms = SelfcommAssembly(phi)
-        a = forms.matrix(basis)
+        a = forms.matrix(args.N)
         diagnostics = {
             "backend": BACKEND_NAME,
             "hermitian": True,
             "psd": _psd_payload(a),
-            "rank": forms.rank(basis),
+            "rank": forms.rank(args.N),
         }
         inputs = {"kind": args.kind, "symbol": args.symbol, "N": args.N}
     else:
         if args.symbol2 is None:
             raise UsageError("commutator kind needs --symbol2")
         pair = CommutatorAssembly(phi, parse_symbol(args.symbol2))
-        a = pair.pairing(basis)
-        r, gram_rank = pair.ranks(basis)
+        a = pair.pairing(args.N)
+        r, gram_rank = pair.ranks(args.N)
         diagnostics = {
             "backend": BACKEND_NAME,
-            "swap_antisymmetric": is_antisymmetric(a.permute_rows(basis.swap)),
+            "swap_antisymmetric": is_antisymmetric(
+                a.permute_rows(swap_permutation(pairs))
+            ),
             "rank": r,
             "rank_even": r % 2 == 0,
             "gram_rank": gram_rank,
@@ -156,23 +159,23 @@ def _cmd_matrix(args) -> tuple[str, int]:
             "N": args.N,
         }
     if args.format == "csv":
-        return _matrix_csv(basis, a), 0
+        return _matrix_csv(pairs, a), 0
     result = {
         "order": args.N,
-        "pairs": [list(p) for p in basis.pairs],
+        "pairs": [list(p) for p in pairs],
         "entries": _matrix_entries(a),
     }
     return _document("matrix", inputs, result, diagnostics), 0
 
 
-def _matrix_csv(basis, a: ExactMatrix) -> str:
+def _matrix_csv(pairs, a: ExactMatrix) -> str:
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["n", "m"] + [f"e({n},{m})" for (n, m) in basis.pairs]
+    header = ["n", "m"] + [f"e({n},{m})" for (n, m) in pairs]
     writer.writerow(header)
-    for (n, m), row in zip(basis.pairs, a.data):
+    for (n, m), row in zip(pairs, a.data):
         writer.writerow([n, m] + [format_scalar(c) for c in row])
     return buf.getvalue()
 

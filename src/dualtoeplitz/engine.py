@@ -58,6 +58,18 @@ and q = max(m-n, 0) (_kernel.terms_harmonic_factor).  So no run of orders
 (ranks, the screen below, the form matrix, the pairing) projects or builds
 a basis.
 
+The half of a conjugate symbol is a mirror.  Conjugation commutes with Q
+and sends z^m conj(z)^n to z^n conj(z)^m, so conj(e_{m,n}) = e_{n,m} and
+conj(phi) e_{n,m} = conj(phi e_{m,n}); with conj(h_d) = h_{-d},
+
+    Q(phi e_{m,n}) = sum_d c_d h_d
+    gives Q(conj(phi) e_{n,m}) = sum_d conj(c_d) h_{-d}.
+
+So a _Projection computes Q(phi e_{n,m}) once per exponent pair, and the
+half of conj(phi) is its mirror: the self-commutator factor takes N^2
+closed forms through order N, and the commutator's columns and rows 2N^2
+together, one per symbol and pair.
+
 The echelon is graded by frequency.  The column of e_{n,m} holds only the
 keys 2(d+f) and 2(d+f)+1 with d = n - m and f a frequency of a symbol term,
 so each frequency d keeps a small Echelon of its own columns.  A column
@@ -179,9 +191,16 @@ class TruncatedBasis:
         return out
 
 
-def _pairs(order: int) -> tuple[tuple[int, int], ...]:
+def exponent_pairs(order: int) -> tuple[tuple[int, int], ...]:
     """The exponent pairs (n, m), 1 <= n, m <= order, in basis order."""
     return tuple((n, m) for n in range(1, order + 1) for m in range(1, order + 1))
+
+
+def swap_permutation(pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """sigma: the position of (m, n) for each exponent pair (n, m), the
+    permutation by which conjugation acts on a basis of these pairs."""
+    index = {pair: i for i, pair in enumerate(pairs)}
+    return tuple(index[m, n] for n, m in pairs)
 
 
 def _vector(pair: tuple[int, int]) -> Element:
@@ -193,10 +212,11 @@ def build_basis(order: int) -> TruncatedBasis:
     """Basis of span{e_{n,m}}: conjugation acts by the swap permutation sigma."""
     if order < 1:
         raise ValueError("basis order must be >= 1")
-    pairs = _pairs(order)
+    pairs = exponent_pairs(order)
     vectors = tuple(map(_vector, pairs))
-    swap = tuple((m - 1) * order + (n - 1) for n, m in pairs)
-    return TruncatedBasis(order=order, pairs=pairs, vectors=vectors, swap=swap)
+    return TruncatedBasis(
+        order=order, pairs=pairs, vectors=vectors, swap=swap_permutation(pairs)
+    )
 
 
 def _frequencies(phi: Element) -> set[int]:
@@ -262,14 +282,42 @@ def _images(
     return out
 
 
+# a harmonic projection Q(symbol e_{n,m}) as {d: coefficient of h_d}
+Half = dict[int, GaussianRational]
+
+
+class _Projection:
+    """Q(phi e_{n,m}) of one symbol from the exponent pair in closed form
+    (_kernel.terms_harmonic_factor), computed once per pair, and its mirror
+    Q(conj(phi) e_{n,m}) (module docstring)."""
+
+    __slots__ = ("_terms", "_memo")
+
+    def __init__(self, phi: Element):
+        self._terms = phi._terms
+        self._memo: dict[Pair, Half] = {}
+
+    def __call__(self, n: int, m: int) -> Half:
+        half = self._memo.get((n, m))
+        if half is None:
+            half = self._memo[n, m] = kernel.terms_harmonic_factor(self._terms, n, m)
+        return half
+
+    def mirror(self, n: int, m: int) -> Half:
+        """Q(conj(phi) e_{n,m}): the value at (m, n), conjugated, with h_d
+        read as h_-d."""
+        return {-d: c.conjugate() for d, c in self(m, n).items()}
+
+
 class _HarmonicFactor:
     """The stacked columns (Q(first e), Q(second e)) of the basis vectors,
     kept by exponent pair, and a maximal independent set of them that grows
     with the order.
 
-    A column holds the coefficient of h_d in Q(first e) under the key 2d and
-    in Q(second e) under 2d + 1: at most one key per term of each symbol.
-    It comes from its exponent pair alone (_kernel.terms_harmonic_factor).
+    first and second give a half from an exponent pair: a _Projection or
+    its mirror.  A column holds the coefficient of h_d in Q(first e) under
+    the key 2d and in Q(second e) under 2d + 1: at most one key per term of
+    each symbol.
     One Echelon takes each order's new exponent pairs (max(n, m) = N) once,
     in basis order, with no basis built.  Its pivots never change once made,
     so the pivots, chosen pairs and column keys of any order reached are
@@ -281,9 +329,11 @@ class _HarmonicFactor:
     one that makes a pivot there goes on to the shared one.
     """
 
-    def __init__(self, first: Element, second: Element):
-        self._first = first._terms
-        self._second = second._terms
+    def __init__(
+        self, first: Callable[[int, int], Half], second: Callable[[int, int], Half]
+    ):
+        self._first = first
+        self._second = second
         self._memo: dict[Pair, Column] = {}
         self.echelon = Echelon()
         # n - m -> the echelon of the columns of that frequency
@@ -295,9 +345,8 @@ class _HarmonicFactor:
         self._sizes: list[tuple[int, int]] = []
 
     def _column(self, n: int, m: int) -> Column:
-        first = kernel.terms_harmonic_factor(self._first, n, m)
-        out = {2 * d: c for d, c in first.items()}
-        for d, c in kernel.terms_harmonic_factor(self._second, n, m).items():
+        out = {2 * d: c for d, c in self._first(n, m).items()}
+        for d, c in self._second(n, m).items():
             out[2 * d + 1] = c
         return out
 
@@ -377,13 +426,14 @@ class SelfcommAssembly:
         self._shifts = _differences(_frequencies(phi))
         self._entries: dict[tuple[Pair, Pair], GaussianRational] = {}
         # M_j = (Q(conj(phi) e_j), Q(phi e_j)), the factor of the form
-        self._factor = _HarmonicFactor(adjoint_symbol(phi), phi)
+        q = _Projection(phi)
+        self._factor = _HarmonicFactor(q.mirror, q)
         # how many chosen columns have a zero Gram <M_t, M_s>_G among them
         self._checked = 0
 
     def matrix(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See selfcomm_form_matrix."""
-        pairs = _pairs(_order(order))
+        pairs = exponent_pairs(_order(order))
         columns = self._factor.columns(pairs)
         return _fill(
             pairs,
@@ -396,7 +446,7 @@ class SelfcommAssembly:
     def factor(self, order: int | TruncatedBasis) -> list[Column]:
         """The factor columns M_j = (Q(conj(phi) e_j), Q(phi e_j)) in basis
         order, keyed as in the module docstring."""
-        return self._factor.columns(_pairs(_order(order)))
+        return self._factor.columns(exponent_pairs(_order(order)))
 
     def vanishes(self, order: int | TruncatedBasis) -> bool:
         """Whether the form matrix is zero at this order, from the Gram of the
@@ -453,8 +503,9 @@ class CommutatorAssembly:
         self._gram: dict[tuple[Pair, Pair], GaussianRational] = {}
         # B = R^H G C with C_j = (Q(phi e_j), Q(psi e_j)) and
         # R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i))
-        self._columns = _HarmonicFactor(phi, psi)
-        self._rows = _HarmonicFactor(adjoint_symbol(psi), adjoint_symbol(phi))
+        q_phi, q_psi = _Projection(phi), _Projection(psi)
+        self._columns = _HarmonicFactor(q_phi, q_psi)
+        self._rows = _HarmonicFactor(q_psi.mirror, q_phi.mirror)
         # the images of the chosen columns, in the order they were chosen,
         # and the pivots their first t make, at index t
         self._span = Echelon()
@@ -473,7 +524,7 @@ class CommutatorAssembly:
 
     def pairing(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See commutator_matrix."""
-        pairs = _pairs(_order(order))
+        pairs = exponent_pairs(_order(order))
         columns = self._columns.columns(pairs)
         rows = self._rows.columns(pairs)
         return _fill(
@@ -505,7 +556,7 @@ class CommutatorAssembly:
         """The column factors C_j = (Q(phi e_j), Q(psi e_j)) and the row
         factors R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i)) in basis order,
         keyed as in the module docstring."""
-        pairs = _pairs(_order(order))
+        pairs = exponent_pairs(_order(order))
         return self._columns.columns(pairs), self._rows.columns(pairs)
 
     def ranks(self, order: int | TruncatedBasis) -> tuple[int, int]:

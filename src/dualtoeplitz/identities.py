@@ -8,7 +8,9 @@ All polynomials are expanded with exact rational coefficients, held as int
 numerators over one common denominator (RationalPolynomial), so a product is
 an int convolution reduced once; for a two-term symbol the squared
 coefficient modulus s = |alpha|^2 enters as an exact rational before
-expansion, so every check stays univariate.
+expansion, so every check stays univariate.  The defect polynomials have
+int coefficients up to that weight, so they are built as int convolutions
+and each becomes one RationalPolynomial, reduced once.
 """
 
 from __future__ import annotations
@@ -110,15 +112,11 @@ class RationalPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self.nums, other.nums
-        if not a or not b:
+        if not self.nums or not other.nums:
             return RationalPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    out[j] += ca * cb
-        return RationalPolynomial._of(out, self.den * other.den)
+        return RationalPolynomial._of(
+            _convolve(self.nums, other.nums), self.den * other.den
+        )
 
     __rmul__ = __mul__
 
@@ -145,6 +143,17 @@ class RationalPolynomial:
 
     def __repr__(self):
         return "RationalPolynomial(%r)" % (self.coeffs,)
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The coefficients of the product of two nonempty int polynomials, low
+    degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
 
 
 def closed_form_apply(n: int, m: int, k: int) -> Element:
@@ -222,19 +231,19 @@ def monomial_defect_poly(n: int, m: int) -> RationalPolynomial:
     Clears denominators in the one-monomial form; p vanishes identically
     iff n == m, and its x^5 coefficient is n^2 - m^2.
     """
-    lin = RationalPolynomial.linear
 
     def half(u, v):
-        p = lin(u - v) * lin(v) * lin(v) * lin(v + 1) * lin(v + 1)
-        return p.scale(u * u)
+        return [u * u * c for c in _convolve([u - v, 1], _squared_pair(v))]
 
-    return half(n, m) - half(m, n)
+    return RationalPolynomial._of(
+        [a - b for a, b in zip(half(n, m), half(m, n))], 1
+    )
 
 
-def _squared_pair(j: int) -> RationalPolynomial:
-    """(x + j)^2 (x + j + 1)^2."""
-    pair = RationalPolynomial.linear(j) * RationalPolynomial.linear(j + 1)
-    return pair * pair
+def _squared_pair(j: int) -> list[int]:
+    """(x + j)^2 (x + j + 1)^2, as int coefficients, low degree first."""
+    pair = [j * (j + 1), 2 * j + 1, 1]
+    return _convolve(pair, pair)
 
 
 def two_term_defect_components(
@@ -244,20 +253,31 @@ def two_term_defect_components(
     sum is the two-term defect polynomial.  Each is (sign-carrying numerator)
     times the product of the squared linear pairs of the *other three*
     exponents, so special-point evaluations never divide by zero.
+
+    With p_e the squared pair of exponent e, the products of the other three
+    come from the halves p_n1 p_n2 and p_m1 p_m2, which each is shared by
+    two of them.
     """
     s = Fraction(s)
     exps = [n1, n2, m1, m2]
-    weights = [_F1, s, _F1, s]
     firsts = [n1 - m1, n2 - m2, m1 - n1, m2 - n2]
-    pairs = [_squared_pair(e) for e in exps]
+    weights = [(1, 1), (s.numerator, s.denominator)] * 2
+    p = [_squared_pair(e) for e in exps]
+    n_half, m_half = _convolve(p[0], p[1]), _convolve(p[2], p[3])
+    others = [
+        _convolve(p[1], m_half),
+        _convolve(p[0], m_half),
+        _convolve(n_half, p[3]),
+        _convolve(n_half, p[2]),
+    ]
     out = []
-    for pos in range(4):
-        cof = RationalPolynomial.constant(exps[pos] * exps[pos])
-        for other in range(4):
-            if other != pos:
-                cof = cof * pairs[other]
-        poly = cof * RationalPolynomial.linear(firsts[pos])
-        out.append(poly.scale(weights[pos]))
+    for e, first, (num, den), other in zip(exps, firsts, weights, others):
+        scale = e * e * num
+        out.append(
+            RationalPolynomial._of(
+                [scale * c for c in _convolve([first, 1], other)], den
+            )
+        )
     return out
 
 

@@ -44,7 +44,12 @@ from itertools import islice
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from ._kernel import GR_ONE as _ONE, GR_ZERO as _ZERO, GaussianRational
+from ._kernel import (
+    GR_ONE as _ONE,
+    GR_ZERO as _ZERO,
+    GaussianRational,
+    terms_sub_scaled,
+)
 from .matrix import ExactMatrix
 
 
@@ -143,6 +148,10 @@ class Echelon:
     added before it; otherwise its reduced form, scaled to a leading 1,
     becomes the pivot of its smallest key.  So the first r pivots span the
     columns added up to the one that made the r-th pivot.
+
+    Each elimination step x <- x - c*s (_kernel.terms_sub_scaled) normalizes
+    its result once, with c*s left an unnormalized int triple; pivots are
+    stored normalized.
     """
 
     __slots__ = ("pivots",)
@@ -164,17 +173,7 @@ class Echelon:
                 scale = v.pop(lead).inverse()
                 pivots[lead] = {key: c * scale for key, c in v.items()}
                 return True
-            s = v.pop(lead)
-            for key, c in pivot.items():
-                x = v.get(key)
-                if x is None:
-                    v[key] = -(c * s)
-                else:
-                    x = x - c * s
-                    if x.is_zero:
-                        del v[key]
-                    else:
-                        v[key] = x
+            terms_sub_scaled(v, pivot, v.pop(lead))
         return False
 
     def complement(self, keys: Iterable, count: int | None = None) -> list[dict]:

@@ -6,6 +6,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +41,7 @@ from dualtoeplitz import (
 )
 from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
-from dualtoeplitz.engine import _HarmonicFactor
+from dualtoeplitz.engine import _HarmonicFactor, _Projection
 from dualtoeplitz.linalg import Echelon, factored_rank
 
 from oracle_psd import charpoly_psd
@@ -80,6 +81,26 @@ class TestApply:
         phi = Element.monomial(2, 1)
         f = probe_vector(3)
         assert harmonic_project(apply(phi, f)).is_zero
+
+    @HYP
+    @given(
+        elements,
+        elements,
+        st.tuples(exponents, exponents, exponents),
+        scalars,
+        scalars,
+    )
+    def test_one_pass_matches_product_then_projection(self, phi, f, degrees, c, h):
+        # harmonic and constant terms on both sides, whose products the one
+        # pass skips or cancels, and normalized triples in the result
+        n, m, k = degrees
+        phi = phi + Element.monomial(n, 0, h) + Element.monomial(0, 0, c)
+        f = f + Element.monomial(0, m, c) + Element.monomial(k, 0, h)
+        got = apply(phi, f)
+        assert got == complement_project(phi * f)
+        for coefficient in got._terms.values():
+            a, b, d = coefficient.num_re, coefficient.num_im, coefficient.den
+            assert (a or b) and d > 0 and gcd(a, b, d) == 1
 
     def test_matches_closed_form_sample(self):
         for (n, m, k) in ((0, 0, 1), (1, 0, 2), (0, 2, 3), (2, 1, 3), (3, 3, 5)):
@@ -956,7 +977,8 @@ class TestClosedFormColumns:
             ((n, m) for n in range(1, 9) for m in range(1, 9)),
             key=lambda pair: (max(pair), pair),
         )
-        for first, second in ((adjoint_symbol(phi), phi), (phi, psi)):
+        q_phi, q_psi = _Projection(phi), _Projection(psi)
+        for first, second in ((q_phi.mirror, q_phi), (q_phi, q_psi)):
             factor = _HarmonicFactor(first, second)
             chosen, keys = factor.selection(8)
             plain = Echelon()
@@ -966,3 +988,28 @@ class TestClosedFormColumns:
             ]
             assert factor.echelon.pivots == plain.pivots
             assert keys == list(dict.fromkeys(k for c in columns for k in c))
+
+    def test_each_half_is_computed_once_per_pair(self, monkeypatch):
+        # the conjugate symbols' halves are mirrors, so order N takes N^2
+        # closed forms for the form's factor and 2 N^2 for the commutator's
+        # columns and rows together
+        kernel = importlib.import_module("dualtoeplitz._kernel")
+        closed_form = kernel.terms_harmonic_factor
+        calls = []
+
+        def counted(phi, n, m):
+            calls.append((n, m))
+            return closed_form(phi, n, m)
+
+        monkeypatch.setattr(kernel, "terms_harmonic_factor", counted)
+        phi = parse_symbol(WIDE_TOP)
+        psi = parse_symbol("z^2 zb + z^3")
+        for order in (1, 4, 7):
+            calls.clear()
+            SelfcommAssembly(phi).rank(order)
+            assert len(calls) == order * order
+            assert len(set(calls)) == order * order
+            calls.clear()
+            CommutatorAssembly(phi, psi).ranks(order)
+            assert len(calls) == 2 * order * order
+            assert len(set(calls)) == order * order

@@ -293,6 +293,47 @@ class TestDefectPolysAgainstSympy:
             assert got.coeffs == _sympy_coeffs(want)
 
 
+def _reference_monomial_defect(n, m):
+    lin = RationalPolynomial.linear
+
+    def half(u, v):
+        return (lin(u - v) * lin(v) * lin(v) * lin(v + 1) * lin(v + 1)).scale(u * u)
+
+    return half(n, m) - half(m, n)
+
+
+def _reference_two_term_components(n1, m1, n2, m2, s):
+    # each component from RationalPolynomial products, factor by factor
+    lin = RationalPolynomial.linear
+    exps = [n1, n2, m1, m2]
+    firsts = [n1 - m1, n2 - m2, m1 - n1, m2 - n2]
+    weights = [F(1), s, F(1), s]
+    out = []
+    for pos in range(4):
+        poly = RationalPolynomial.constant(exps[pos] ** 2) * lin(firsts[pos])
+        for other in range(4):
+            if other != pos:
+                e = exps[other]
+                poly = poly * lin(e) * lin(e) * lin(e + 1) * lin(e + 1)
+        out.append(poly.scale(weights[pos]))
+    return out
+
+
+class TestDefectPolysAgainstProducts:
+    def test_monomial_defect_poly(self):
+        for n, m in product(range(7), repeat=2):
+            got, want = monomial_defect_poly(n, m), _reference_monomial_defect(n, m)
+            assert (got.nums, got.den) == (want.nums, want.den)
+
+    def test_two_term_defect_components(self):
+        weights = (F(1), F(3, 2), F(2, 5))
+        for index, exps in enumerate(product(range(7), repeat=4)):
+            s = weights[index % len(weights)]
+            got = two_term_defect_components(*exps, s)
+            want = _reference_two_term_components(*exps, s)
+            assert [(p.nums, p.den) for p in got] == [(p.nums, p.den) for p in want]
+
+
 class TestTwoTermDefectPoly:
     def test_components_shape(self):
         comps = two_term_defect_components(2, 1, 1, 2, F(3, 2))

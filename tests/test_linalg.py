@@ -383,6 +383,54 @@ class TestIndependentColumns:
         assert _greedy([e1, e0, both]) == [0, 1]
 
 
+class _TwoStepEchelon:
+    """Echelon.add with x - c*s as two normalized scalar operations, c*s and
+    then the difference: the reference for the one-normalization update."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def add(self, column):
+        pivots = self.pivots
+        v = {key: c for key, c in column.items() if not c.is_zero}
+        while v:
+            lead = min(v)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = v.pop(lead).inverse()
+                pivots[lead] = {key: c * scale for key, c in v.items()}
+                return True
+            s = v.pop(lead)
+            for key, c in pivot.items():
+                x = v.get(key)
+                if x is None:
+                    v[key] = -(c * s)
+                else:
+                    x = x - c * s
+                    if x.is_zero:
+                        del v[key]
+                    else:
+                        v[key] = x
+        return False
+
+
+def _pivot_triples(echelon):
+    return [
+        (lead, [(key, (c.num_re, c.num_im, c.den)) for key, c in pivot.items()])
+        for lead, pivot in echelon.pivots.items()
+    ]
+
+
+class TestEchelonUpdate:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(sparse_columns(), sparse_columns())
+    def test_matches_two_step_reference(self, first, second):
+        fused, reference = Echelon(), _TwoStepEchelon()
+        for column in first + second:
+            assert fused.add(column) == reference.add(column)
+            assert _pivot_triples(fused) == _pivot_triples(reference)
+
+
 def _dense_rows(columns, keys):
     return [[(c.get(k, gr(0)).re, c.get(k, gr(0)).im) for c in columns] for k in keys]
 
