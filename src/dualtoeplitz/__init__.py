@@ -6,77 +6,108 @@ projections, operator actions, truncated form matrices, positive
 semidefiniteness and rank, normality classification with certificates,
 and symbolic verification suites.
 
-The computing modules load with the package.  The closed-form identities
-and the verification suites load on first use of one of their names, so
-a command that never verifies never compiles them.
+Importing the package loads no computing module.  Every public name is
+served on first use from the one table ``_LAZY`` (PEP 562), which loads the
+module that defines it, so a command compiles only the modules it runs and
+``--help`` compiles none.  The constants the command-line parser needs are
+defined here, and the modules that use them import them from here.
+
+``classify`` is both a public function and the submodule that defines it.
+The import system binds a submodule to the package attribute of its name
+once it has loaded, whichever code imported it first, and that would hide
+the function.  So the package module's class is swapped for one whose
+``__setattr__`` keeps the function: ``dualtoeplitz.classify`` stays the
+function in every import order, while ``import dualtoeplitz.classify`` and
+``from dualtoeplitz.classify import ...`` still reach the submodule through
+``sys.modules``.
 """
 
+import sys
 from importlib import import_module
-
-from ._kernel import BACKEND as BACKEND_NAME
-from .algebra import (
-    Element,
-    GaussianRational,
-    Monomial,
-    as_scalar,
-    bergman_project,
-    complement_project,
-    harmonic_project,
-    inner_product,
-    norm_sq,
-)
-from .classify import (
-    DEFAULT_ORDER_LIMIT,
-    NotNormalCertificate,
-    Verdict,
-    VerdictStatus,
-    ZeroMatrixCertificate,
-    classify,
-    classify_harmonic,
-    classify_monomial,
-    classify_two_monomial,
-    classify_with_certificate,
-    numeric_certificate,
-)
-from .engine import (
-    CommutatorAssembly,
-    SelfcommAssembly,
-    TruncatedBasis,
-    adjoint_symbol,
-    apply,
-    build_basis,
-    commutator_matrices,
-    commutator_matrix,
-    commutator_range_gram,
-    q_value,
-    selfcomm_form_matrix,
-    test_vector,
-)
-from .linalg import (
-    HermitianForm,
-    PsdResult,
-    form_value,
-    is_antisymmetric,
-    psd_test,
-    rank,
-)
-from .matrix import ExactMatrix
-from .symbols import (
-    ParseError,
-    format_element,
-    format_rational,
-    format_scalar,
-    parse_symbol,
-)
+from types import ModuleType
 
 __version__ = "0.1.0"
+
+# the arithmetic backend; _kernel reports it as BACKEND
+BACKEND_NAME = "python"
+
+# the certificate search's default truncation order, here so that the
+# command-line parser can offer it without loading the classifier
+DEFAULT_ORDER_LIMIT = 8
 
 # the suites' names, here so that the command-line parser can offer them
 # without loading the suites
 SUITE_NAMES = ("monomial", "two-term", "harmonic", "radial", "commutator-parity")
 
-# names served on first use (PEP 562), with the module that defines them
+# every public name not defined above, with the module that defines it
 _LAZY = dict.fromkeys(
+    (
+        "Element",
+        "GaussianRational",
+        "Monomial",
+        "as_scalar",
+        "bergman_project",
+        "complement_project",
+        "harmonic_project",
+        "inner_product",
+        "norm_sq",
+    ),
+    "algebra",
+) | dict.fromkeys(
+    (
+        "NotNormalCertificate",
+        "Verdict",
+        "VerdictStatus",
+        "ZeroMatrixCertificate",
+        "classify",
+        "classify_harmonic",
+        "classify_monomial",
+        "classify_two_monomial",
+        "classify_with_certificate",
+        "numeric_certificate",
+    ),
+    "classify",
+) | dict.fromkeys(
+    (
+        "CommutatorAssembly",
+        "SelfcommAssembly",
+        "TruncatedBasis",
+        "adjoint_symbol",
+        "apply",
+        "build_basis",
+        "commutator_matrices",
+        "commutator_matrix",
+        "commutator_range_gram",
+        "q_value",
+        "selfcomm_form_matrix",
+        "test_vector",
+    ),
+    "engine",
+) | dict.fromkeys(
+    (
+        "HermitianForm",
+        "PsdResult",
+        "form_value",
+        "is_antisymmetric",
+        "psd_test",
+        "rank",
+    ),
+    "linalg",
+) | dict.fromkeys(
+    (
+        "ExactMatrix",
+    ),
+    "matrix",
+) | dict.fromkeys(
+    (
+        "ParseError",
+        "format_element",
+        "format_rational",
+        "format_scalar",
+        "parse_symbol",
+    ),
+    "symbols",
+) | dict.fromkeys(
     (
         "RationalPolynomial",
         "SpecialPointCheck",
@@ -106,9 +137,11 @@ _LAZY = dict.fromkeys(
     "verify",
 )
 
+__all__ = ["BACKEND_NAME", "DEFAULT_ORDER_LIMIT", "SUITE_NAMES", *_LAZY]
+
 
 def __getattr__(name):
-    """Load the module behind a lazy name on first use (PEP 562)."""
+    """Load the module behind a public name on first use (PEP 562)."""
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -121,71 +154,14 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [
-    "BACKEND_NAME",
-    "COMMUTATOR_GRID",
-    "CommutatorAssembly",
-    "COMMUTATOR_ORDERS",
-    "DEFAULT_ORDER_LIMIT",
-    "Element",
-    "ExactMatrix",
-    "GaussianRational",
-    "HARMONIC_GRID",
-    "HermitianForm",
-    "Monomial",
-    "NotNormalCertificate",
-    "ParseError",
-    "PsdResult",
-    "RationalPolynomial",
-    "SUITE_NAMES",
-    "SelfcommAssembly",
-    "SpecialPointCheck",
-    "SuiteReport",
-    "TWO_TERM_GRID",
-    "TruncatedBasis",
-    "Verdict",
-    "VerdictStatus",
-    "ZeroMatrixCertificate",
-    "adjoint_commutator_identity",
-    "adjoint_symbol",
-    "apply",
-    "as_scalar",
-    "bergman_project",
-    "build_basis",
-    "classify",
-    "classify_harmonic",
-    "classify_monomial",
-    "classify_two_monomial",
-    "classify_with_certificate",
-    "closed_form_apply",
-    "closed_form_q",
-    "commutator_matrices",
-    "commutator_matrix",
-    "commutator_range_gram",
-    "complement_project",
-    "defect_balance_at_zero",
-    "equal_diff_defect_at_zero",
-    "form_value",
-    "format_element",
-    "format_rational",
-    "format_scalar",
-    "harmonic_project",
-    "inner_product",
-    "is_antisymmetric",
-    "monomial_defect_poly",
-    "norm_sq",
-    "numeric_certificate",
-    "parse_symbol",
-    "psd_test",
-    "q_value",
-    "radial_commutator_residual",
-    "rank",
-    "run_suite",
-    "run_suites",
-    "selfcomm_form_matrix",
-    "test_vector",
-    "two_monomial_q",
-    "two_term_defect_components",
-    "two_term_defect_poly",
-    "two_term_special_points",
-]
+class _Package(ModuleType):
+    """The package module, whose ``classify`` stays the function when the
+    import system binds the submodule of that name (module docstring)."""
+
+    def __setattr__(self, name, value):
+        if name == "classify" and isinstance(value, ModuleType):
+            value = value.classify
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

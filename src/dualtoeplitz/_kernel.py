@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-BACKEND = "python"
+from . import BACKEND_NAME as BACKEND
 
 
 class GaussianRational:

@@ -15,12 +15,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import DEFAULT_ORDER_LIMIT
 from .algebra import Element, GaussianRational, as_scalar
 from .engine import SelfcommAssembly, build_basis, q_value
 from .linalg import psd_test, rank
 from .matrix import ExactMatrix
-
-DEFAULT_ORDER_LIMIT = 8
 
 
 class VerdictStatus(str, Enum):

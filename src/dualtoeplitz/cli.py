@@ -15,6 +15,12 @@ Reports are JSON documents with top-level keys {"command", "inputs",
 canonical rational strings so identical invocations produce byte-identical
 output.  Timing goes to stderr only.  Exit codes: 0 success / all checks
 passed, 1 verification failure, 2 usage or parse error.
+
+The parser needs only the package's constants, so the arguments are parsed
+before any computing module loads, and each command imports what it runs:
+``--help`` and a usage error compile none of them, ``rank`` and ``matrix``
+skip the classifier, and ``inner-product`` loads only the scalars, the
+element algebra and the symbol parser.
 """
 
 from __future__ import annotations
@@ -25,48 +31,32 @@ import json
 import sys
 import time
 
-from . import SUITE_NAMES, __version__
-from ._kernel import BACKEND as BACKEND_NAME
-from .algebra import Element, inner_product
-from .classify import (
-    DEFAULT_ORDER_LIMIT,
-    NotNormalCertificate,
-    ZeroMatrixCertificate,
-    classify_with_certificate,
-)
-from .engine import (
-    CommutatorAssembly,
-    SelfcommAssembly,
-    apply,
-    exponent_pairs,
-    swap_permutation,
-)
-from .linalg import is_antisymmetric, psd_test
-from .matrix import ExactMatrix
-from .symbols import (
-    format_element,
-    format_rational,
-    format_scalar,
-    parse_symbol,
-)
+from . import BACKEND_NAME, DEFAULT_ORDER_LIMIT, SUITE_NAMES, __version__
 
 
 class UsageError(Exception):
     """Bad flag combination or out-of-range argument (exit code 2)."""
 
 
-def _element_payload(e: Element) -> dict:
+def _element_payload(e) -> dict:
+    from .symbols import format_element, format_scalar
+
     return {
         "text": format_element(e),
         "terms": [[mono.n, mono.m, format_scalar(c)] for mono, c in e.terms()],
     }
 
 
-def _matrix_entries(a: ExactMatrix) -> list[list[str]]:
+def _matrix_entries(a) -> list[list[str]]:
+    from .symbols import format_scalar
+
     return [[format_scalar(c) for c in row] for row in a.data]
 
 
 def _certificate_payload(cert) -> dict | None:
+    from .classify import NotNormalCertificate, ZeroMatrixCertificate
+    from .symbols import format_rational
+
     if cert is None:
         return None
     if isinstance(cert, NotNormalCertificate):
@@ -97,6 +87,9 @@ def _document(command: str, inputs: dict, result: dict, diagnostics: dict) -> st
 def _cmd_classify(args) -> tuple[str, int]:
     if args.n_max < 1:
         raise UsageError("--N-max must be >= 1")
+    from .classify import classify_with_certificate
+    from .symbols import format_element, parse_symbol
+
     phi = parse_symbol(args.symbol)
     verdict = classify_with_certificate(phi, args.n_max)
     result = {
@@ -109,7 +102,10 @@ def _cmd_classify(args) -> tuple[str, int]:
     return _document("classify", inputs, result, diagnostics), 0
 
 
-def _psd_payload(a: ExactMatrix) -> dict:
+def _psd_payload(a) -> dict:
+    from .linalg import psd_test
+    from .symbols import format_rational, format_scalar
+
     outcome = psd_test(a)
     if outcome.is_psd:
         return {"is_psd": True, "rank": outcome.rank}
@@ -123,6 +119,15 @@ def _psd_payload(a: ExactMatrix) -> dict:
 def _cmd_matrix(args) -> tuple[str, int]:
     if args.N < 1:
         raise UsageError("--N must be >= 1")
+    from .engine import (
+        CommutatorAssembly,
+        SelfcommAssembly,
+        exponent_pairs,
+        swap_permutation,
+    )
+    from .linalg import is_antisymmetric
+    from .symbols import parse_symbol
+
     phi = parse_symbol(args.symbol)
     pairs = exponent_pairs(args.N)
     if args.kind == "selfcomm":
@@ -168,8 +173,10 @@ def _cmd_matrix(args) -> tuple[str, int]:
     return _document("matrix", inputs, result, diagnostics), 0
 
 
-def _matrix_csv(pairs, a: ExactMatrix) -> str:
+def _matrix_csv(pairs, a) -> str:
     import csv
+
+    from .symbols import format_scalar
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -183,6 +190,9 @@ def _matrix_csv(pairs, a: ExactMatrix) -> str:
 def _cmd_rank(args) -> tuple[str, int]:
     if args.n_max < 1:
         raise UsageError("--N-max must be >= 1")
+    from .engine import CommutatorAssembly, SelfcommAssembly
+    from .symbols import parse_symbol
+
     phi = parse_symbol(args.symbol)
     table = []
     if args.symbol2 is None:
@@ -213,6 +223,8 @@ def run_suites(suite: str, n_max: int | None) -> list:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    if args.n_max is not None and args.n_max < 1:
+        raise UsageError("--N-max must be >= 1")
     reports = run_suites(args.suite, args.n_max)
     result = {
         "suites": [
@@ -233,6 +245,9 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_apply(args) -> tuple[str, int]:
+    from .engine import apply
+    from .symbols import parse_symbol
+
     phi = parse_symbol(args.symbol)
     f = parse_symbol(args.symbol2)
     result = {"element": _element_payload(apply(phi, f))}
@@ -242,6 +257,9 @@ def _cmd_apply(args) -> tuple[str, int]:
 
 
 def _cmd_inner_product(args) -> tuple[str, int]:
+    from .algebra import inner_product
+    from .symbols import format_scalar, parse_symbol
+
     f = parse_symbol(args.symbol)
     g = parse_symbol(args.symbol2)
     result = {"value": format_scalar(inner_product(f, g))}

@@ -106,13 +106,18 @@ is the number of pivots those images make in an Echelon over their terms.
 S grows with the order like the column echelon, so that Echelon grows along
 S too and takes each image once.  Images are formed only for the range Gram
 and for S.
+
+Each image comes from the halves the factors already hold.  The halves
+Q(phi e_j) and Q(psi e_j), read as sums of the h_d, are multiplied by the
+other symbol and projected, two one-pass _kernel.terms_apply calls, so an
+image needs no basis vector and no product with the whole of e_j.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _kernel as kernel
 from .algebra import Element, GaussianRational, complement_project, inner_product
@@ -203,17 +208,12 @@ def swap_permutation(pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(index[m, n] for n, m in pairs)
 
 
-def _vector(pair: tuple[int, int]) -> Element:
-    """The basis vector e_{n,m} = (I - Q)(z^n conj(z)^m)."""
-    return complement_project(Element.monomial(*pair))
-
-
 def build_basis(order: int) -> TruncatedBasis:
     """Basis of span{e_{n,m}}: conjugation acts by the swap permutation sigma."""
     if order < 1:
         raise ValueError("basis order must be >= 1")
     pairs = exponent_pairs(order)
-    vectors = tuple(map(_vector, pairs))
+    vectors = tuple(complement_project(Element.monomial(*pair)) for pair in pairs)
     return TruncatedBasis(
         order=order, pairs=pairs, vectors=vectors, swap=swap_permutation(pairs)
     )
@@ -241,11 +241,6 @@ def _allowed(pairs: Sequence[Pair], shifts: set[int]) -> Iterator[tuple[int, int
 
 
 Pair = tuple[int, int]
-V = TypeVar("V")
-
-
-def _basis(order: int | TruncatedBasis) -> TruncatedBasis:
-    return order if isinstance(order, TruncatedBasis) else build_basis(order)
 
 
 def _order(order: int | TruncatedBasis) -> int:
@@ -261,25 +256,6 @@ def _new_pairs(order: int) -> list[Pair]:
     return [(n, order) for n in range(1, order)] + [
         (order, m) for m in range(1, order + 1)
     ]
-
-
-def _images(
-    memo: dict[Pair, V],
-    image: Callable[[Element], V],
-    pairs: Sequence[Pair],
-    vectors: Sequence[Element] | None = None,
-) -> list[V]:
-    """image(e_{n,m}) for the exponent pairs, computed once per pair.  The
-    vectors e_{n,m} are those of a basis, in step with its pairs, or are
-    projected here when no basis is given."""
-    out = []
-    for k, pair in enumerate(pairs):
-        value = memo.get(pair)
-        if value is None:
-            e = _vector(pair) if vectors is None else vectors[k]
-            value = memo[pair] = image(e)
-        out.append(value)
-    return out
 
 
 # a harmonic projection Q(symbol e_{n,m}) as {d: coefficient of h_d}
@@ -307,6 +283,11 @@ class _Projection:
         """Q(conj(phi) e_{n,m}): the value at (m, n), conjugated, with h_d
         read as h_-d."""
         return {-d: c.conjugate() for d, c in self(m, n).items()}
+
+
+def _harmonic_terms(half: Half) -> dict[Pair, GaussianRational]:
+    """A half as a term map: h_d is z^d for d >= 0 and conj(z)^-d for d < 0."""
+    return {((d, 0) if d >= 0 else (0, -d)): c for d, c in half.items()}
 
 
 class _HarmonicFactor:
@@ -493,8 +474,8 @@ class CommutatorAssembly:
     exponent pair across orders."""
 
     def __init__(self, phi: Element, psi: Element):
-        self._phi = phi
-        self._psi = psi
+        self._phi = phi._terms
+        self._psi = psi._terms
         # W = F(phi) + F(psi): the frequency shifts of the commutator
         self._shifts = {a + b for a in _frequencies(phi) for b in _frequencies(psi)}
         self._gram_shifts = _differences(self._shifts)
@@ -503,7 +484,8 @@ class CommutatorAssembly:
         self._gram: dict[tuple[Pair, Pair], GaussianRational] = {}
         # B = R^H G C with C_j = (Q(phi e_j), Q(psi e_j)) and
         # R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i))
-        q_phi, q_psi = _Projection(phi), _Projection(psi)
+        self._q_phi = q_phi = _Projection(phi)
+        self._q_psi = q_psi = _Projection(psi)
         self._columns = _HarmonicFactor(q_phi, q_psi)
         self._rows = _HarmonicFactor(q_psi.mirror, q_phi.mirror)
         # the images of the chosen columns, in the order they were chosen,
@@ -511,16 +493,24 @@ class CommutatorAssembly:
         self._span = Echelon()
         self._span_sizes = [0]
 
-    def _images(
-        self, pairs: Sequence[Pair], vectors: Sequence[Element] | None = None
-    ) -> list[Element]:
-        phi, psi = self._phi, self._psi
-        return _images(
-            self._w,
-            lambda e: apply(phi, apply(psi, e)) - apply(psi, apply(phi, e)),
-            pairs,
-            vectors,
-        )
+    def _images(self, pairs: Sequence[Pair]) -> list[Element]:
+        """The images w_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)) of the
+        exponent pairs, from the halves (module docstring), each formed
+        once."""
+        memo = self._w
+        out = []
+        for pair in pairs:
+            w = memo.get(pair)
+            if w is None:
+                h_phi = _harmonic_terms(self._q_phi(*pair))
+                h_psi = _harmonic_terms(self._q_psi(*pair))
+                terms = kernel.terms_apply(self._psi, h_phi)
+                kernel.terms_sub_scaled(
+                    terms, kernel.terms_apply(self._phi, h_psi), kernel.GR_ONE
+                )
+                w = memo[pair] = Element._wrap(terms)
+            out.append(w)
+        return out
 
     def pairing(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See commutator_matrix."""
@@ -537,10 +527,10 @@ class CommutatorAssembly:
 
     def range_gram(self, order: int | TruncatedBasis) -> ExactMatrix:
         """See commutator_range_gram."""
-        basis = _basis(order)
-        w = self._images(basis.pairs, basis.vectors)
+        pairs = exponent_pairs(_order(order))
+        w = self._images(pairs)
         return _fill(
-            basis.pairs,
+            pairs,
             self._gram_shifts,
             self._gram,
             lambda i, j: inner_product(w[j], w[i]),
@@ -549,8 +539,7 @@ class CommutatorAssembly:
 
     def matrices(self, order: int | TruncatedBasis) -> tuple[ExactMatrix, ExactMatrix]:
         """The pairing and the range Gram at one order."""
-        basis = _basis(order)
-        return self.pairing(basis), self.range_gram(basis)
+        return self.pairing(order), self.range_gram(order)
 
     def factors(self, order: int | TruncatedBasis) -> tuple[list[Column], list[Column]]:
         """The column factors C_j = (Q(phi e_j), Q(psi e_j)) and the row

@@ -251,6 +251,16 @@ class TestVerifyCommand:
             "forced failure for the exit-code path"
         ]
 
+    @pytest.mark.parametrize("suite", dualtoeplitz.SUITE_NAMES + ("all",))
+    def test_order_bound_below_one_is_a_usage_error(self, capsys, suite):
+        # every suite used to take a bound below 1: radial passed with no
+        # checks, monomial with a few, harmonic failed inside the suite
+        for bound in ("0", "-1"):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--N-max", bound)
+            assert code == 2
+            assert out == ""
+            assert "--N-max must be >= 1" in err
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["verify", "--suite", "nonsense"])
@@ -344,6 +354,7 @@ class TestLoadSet:
     small command, and compiling unused modules is most of start-up."""
 
     VERIFY_ONLY = ("dualtoeplitz.verify", "dualtoeplitz.identities")
+    CLASSIFIER = "dualtoeplitz.classify"
     # every record is a NamedTuple or a __slots__ class, so no command pays
     # for dataclasses and the inspect module it imports
     NEVER = ("dataclasses", "inspect")
@@ -363,14 +374,75 @@ class TestLoadSet:
         [
             ("rank", "--symbol", "z^2 zb", "--N-max", "3"),
             ("matrix", "selfcomm", "--symbol", "z^2 zb", "--N", "2"),
+            ("apply", "--symbol", "z^2 zb", "--symbol2", "z"),
         ],
     )
     def test_computing_commands_skip_the_suites(self, argv):
         proc, modules = self.loaded(*argv)
         assert proc.returncode == 0, proc.stderr
         assert "dualtoeplitz.engine" in modules
-        for name in self.VERIFY_ONLY + self.NEVER + ("csv",):
+        for name in self.VERIFY_ONLY + self.NEVER + (self.CLASSIFIER, "csv"):
             assert name not in modules
+
+    @staticmethod
+    def submodules(modules):
+        return {name for name in modules if name.startswith("dualtoeplitz.")}
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("--help",), 0),
+            (("rank", "--help"), 0),
+            (("rank", "--symbol", "z", "--N-max", "two"), 2),
+            (("classify",), 2),
+            (("verify", "--suite", "radial", "--N-max", "0"), 2),
+        ],
+    )
+    def test_help_and_usage_errors_load_no_computing_module(self, argv, code):
+        # the parser needs only the package's constants
+        proc, modules = self.loaded(*argv)
+        assert proc.returncode == code, proc.stderr
+        assert self.submodules(modules) == set()
+
+    def test_inner_product_loads_only_the_scalars_and_elements(self):
+        proc, modules = self.loaded(
+            "inner-product", "--symbol", "z^2 zb", "--symbol2", "z"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert self.submodules(modules) == {
+            "dualtoeplitz._kernel",
+            "dualtoeplitz.algebra",
+            "dualtoeplitz.symbols",
+        }
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "import dualtoeplitz.verify",
+            "from dualtoeplitz.classify import Verdict",
+            "import dualtoeplitz.classify",
+            "from dualtoeplitz import cli\n"
+            "assert cli.main(['classify', '--symbol', 'z zb', '--N-max', '2']) == 0",
+            "import dualtoeplitz\ndualtoeplitz.Verdict",
+        ],
+    )
+    def test_classify_stays_the_function_in_any_import_order(self, first):
+        # importing the submodule binds it to the package attribute of its
+        # name, whichever code imports it first
+        probe = first + textwrap.dedent(
+            """
+            import importlib
+            import dualtoeplitz
+            from dualtoeplitz.classify import NotNormalCertificate
+            submodule = importlib.import_module("dualtoeplitz.classify")
+            assert callable(dualtoeplitz.classify), dualtoeplitz.classify
+            assert dualtoeplitz.classify is submodule.classify
+            from dualtoeplitz import classify
+            assert classify is submodule.classify
+            """
+        )
+        proc = fresh_python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
 
     def test_csv_loads_only_for_csv_output(self):
         proc, modules = self.loaded(

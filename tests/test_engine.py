@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualtoeplitz import (
+    COMMUTATOR_GRID,
     CommutatorAssembly,
     Element,
     GaussianRational,
@@ -41,7 +42,7 @@ from dualtoeplitz import (
 )
 from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
-from dualtoeplitz.engine import _HarmonicFactor, _Projection
+from dualtoeplitz.engine import _HarmonicFactor, _Projection, exponent_pairs
 from dualtoeplitz.linalg import Echelon, factored_rank
 
 from oracle_psd import charpoly_psd
@@ -1013,3 +1014,49 @@ class TestClosedFormColumns:
             CommutatorAssembly(phi, psi).ranks(order)
             assert len(calls) == 2 * order * order
             assert len(set(calls)) == order * order
+
+
+def _four_applies(phi, psi, pair):
+    """The reference image (S_phi S_psi - S_psi S_phi) e_{n,m}, from the
+    projected basis vector with four applications."""
+    e = complement_project(Element.monomial(*pair))
+    return apply(phi, apply(psi, e)) - apply(psi, apply(phi, e))
+
+
+class TestCommutatorImages:
+    """The images w_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)) come from the
+    factor halves with two applications on harmonic elements; the four
+    applications to the projected basis vector are the reference."""
+
+    @pytest.mark.parametrize(
+        "phi_text, psi_text", [(phi, psi) for phi, psi, _ in COMMUTATOR_GRID]
+    )
+    def test_grid_images_match_four_applies(self, phi_text, psi_text):
+        phi, psi = parse_symbol(phi_text), parse_symbol(psi_text)
+        pairs = exponent_pairs(7)
+        images = CommutatorAssembly(phi, psi)._images(pairs)
+        for pair, w in zip(pairs, images):
+            assert w == _four_applies(phi, psi, pair)
+
+    @HYP
+    @given(symbols, symbols)
+    @example(parse_symbol("z^2 zb + z^3"), parse_symbol("zb^2 + z + 3"))
+    def test_images_match_four_applies(self, phi, psi):
+        pairs = exponent_pairs(5)
+        images = CommutatorAssembly(phi, psi)._images(pairs)
+        for pair, w in zip(pairs, images):
+            assert w._terms == _four_applies(phi, psi, pair)._terms
+            assert all(not c.is_zero for c in w._terms.values())
+
+    def test_range_gram_projects_no_basis_vector(self, monkeypatch):
+        engine = importlib.import_module("dualtoeplitz.engine")
+        phi = parse_symbol("z^2 zb + z^3")
+        psi = parse_symbol("zb^2 + z")
+
+        def refuse(f):
+            raise AssertionError("complement_project called")
+
+        monkeypatch.setattr(engine, "complement_project", refuse)
+        pair = CommutatorAssembly(phi, psi)
+        pairing, gram = pair.matrices(5)
+        assert pair.ranks(5) == (rank(pairing), rank(gram)) == (14, 17)
