@@ -39,6 +39,10 @@ DEFAULT_ORDER_LIMIT = 8
 # without loading the suites
 SUITE_NAMES = ("monomial", "two-term", "harmonic", "radial", "commutator-parity")
 
+# the smallest bound at which a suite runs its grid, where that is above 1:
+# the radial pairs (n, m) need n != m, and COMMUTATOR_ORDERS starts at 2
+SUITE_MIN_BOUND = {"radial": 2, "commutator-parity": 2}
+
 # every public name not defined above, with the module that defines it
 _LAZY = dict.fromkeys(
     (
@@ -137,7 +141,13 @@ _LAZY = dict.fromkeys(
     "verify",
 )
 
-__all__ = ["BACKEND_NAME", "DEFAULT_ORDER_LIMIT", "SUITE_NAMES", *_LAZY]
+__all__ = [
+    "BACKEND_NAME",
+    "DEFAULT_ORDER_LIMIT",
+    "SUITE_MIN_BOUND",
+    "SUITE_NAMES",
+    *_LAZY,
+]
 
 
 def __getattr__(name):

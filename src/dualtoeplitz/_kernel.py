@@ -89,6 +89,11 @@ class GaussianRational:
         return self._d
 
     @property
+    def triple(self) -> tuple[int, int, int]:
+        """The normalized triple (a, b, d): the value is (a + b*i)/d."""
+        return self._a, self._b, self._d
+
+    @property
     def is_zero(self) -> bool:
         return self._a == 0 and self._b == 0
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 from . import DEFAULT_ORDER_LIMIT
 from .algebra import Element, GaussianRational, as_scalar
 from .engine import SelfcommAssembly, build_basis, q_value
-from .linalg import psd_test, rank
-from .matrix import ExactMatrix
+from .linalg import psd_test
 
 
 class VerdictStatus(str, Enum):
@@ -118,19 +118,20 @@ def classify_two_monomial(
 def classify_harmonic(phi: Element) -> Verdict:
     """Harmonic symbol: normal iff some nontrivial combination
     alpha*phi + beta*conj(phi) is constant, i.e. the coefficient matrix with
-    rows (a_k, conj(b_k)) and (b_k, conj(a_k)) has rank <= 1."""
+    rows (a_k, conj(b_k)) and (b_k, conj(a_k)) has rank <= 1, that is, every
+    2x2 minor of its rows is zero."""
     if not phi.is_harmonic:
         raise ValueError("symbol is not harmonic")
     degrees = sorted({max(n, m) for (n, m) in phi._terms if (n, m) != (0, 0)})
-    rows: list[list[GaussianRational]] = []
+    rows: list[tuple[GaussianRational, GaussianRational]] = []
     for k in degrees:
         a_k = phi.coefficient(k, 0)
         b_k = phi.coefficient(0, k)
-        rows.append([a_k, b_k.conjugate()])
-        rows.append([b_k, a_k.conjugate()])
+        rows.append((a_k, b_k.conjugate()))
+        rows.append((b_k, a_k.conjugate()))
     if not rows:
         return Verdict(VerdictStatus.NORMAL, "constant-symbol")
-    if rank(ExactMatrix(rows)) <= 1:
+    if all(x * v == y * u for (x, y), (u, v) in combinations(rows, 2)):
         return Verdict(VerdictStatus.NORMAL, "harmonic-pencil-constant")
     return Verdict(VerdictStatus.NOT_HYPONORMAL, "harmonic-pencil-free")
 

@@ -16,6 +16,15 @@ canonical rational strings so identical invocations produce byte-identical
 output.  Timing goes to stderr only.  Exit codes: 0 success / all checks
 passed, 1 verification failure, 2 usage or parse error.
 
+A ``matrix`` report holds N^4 entries and N^2 exponent pairs, so those two
+arrays bypass the indenting encoder (with ``indent`` set, ``json`` falls back
+to its pure-Python encoder).  The document is dumped with a stand-in string
+in place of each array, and the array's rows, joined as text in the layout
+``json.dumps(..., indent=2)`` gives it, replace the stand-in.  The assembled
+matrix shares its entry objects, so each distinct object is formatted once
+and its text found again by identity; the CSV dump takes the same rows.
+``json`` itself loads only when a JSON report is written.
+
 The parser needs only the package's constants, so the arguments are parsed
 before any computing module loads, and each command imports what it runs:
 ``--help`` and a usage error compile none of them, ``rank`` and ``matrix``
@@ -27,11 +36,16 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 import time
 
-from . import BACKEND_NAME, DEFAULT_ORDER_LIMIT, SUITE_NAMES, __version__
+from . import (
+    BACKEND_NAME,
+    DEFAULT_ORDER_LIMIT,
+    SUITE_MIN_BOUND,
+    SUITE_NAMES,
+    __version__,
+)
 
 
 class UsageError(Exception):
@@ -47,10 +61,16 @@ def _element_payload(e) -> dict:
     }
 
 
-def _matrix_entries(a) -> list[list[str]]:
+def _entry_rows(a, encode) -> list[list[str]]:
+    """The matrix's rows as text, encode(format_scalar(c)) per entry.  The
+    assembled matrices share their entry objects (one zero, the memoized
+    entries, the real mirror entries below the diagonal), so each distinct
+    object is formatted once and found again by its identity."""
     from .symbols import format_scalar
 
-    return [[format_scalar(c) for c in row] for row in a.data]
+    distinct = {id(c): c for row in a.data for c in row}
+    text = {key: encode(format_scalar(c)) for key, c in distinct.items()}
+    return [list(map(text.__getitem__, map(id, row))) for row in a.data]
 
 
 def _certificate_payload(cert) -> dict | None:
@@ -74,6 +94,8 @@ def _certificate_payload(cert) -> dict | None:
 
 
 def _document(command: str, inputs: dict, result: dict, diagnostics: dict) -> str:
+    import json
+
     doc = {
         "command": command,
         "inputs": inputs,
@@ -82,6 +104,25 @@ def _document(command: str, inputs: dict, result: dict, diagnostics: dict) -> st
         "version": __version__,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Stand-ins for the matrix report's two arrays of N^2 rows, which _splice
+# writes in their place.  No symbol that parses holds a control character,
+# so neither occurs in the echoed inputs.
+_PAIRS = "\x01"
+_ENTRIES = "\x00"
+
+
+def _splice(document: str, mark: str, rows: list[list[str]]) -> str:
+    """Write rows of JSON values in place of the document's one string
+    ``mark``, laid out as json.dumps(..., indent=2) lays out a list of
+    nonempty lists that is a value of "result"."""
+    token = '"\\u%04x"' % ord(mark)
+    assert document.count(token) == 1, mark
+    block = "\n      ],\n      [\n        ".join(
+        [",\n        ".join(row) for row in rows]
+    )
+    return document.replace(token, "[\n      [\n        %s\n      ]\n    ]" % block)
 
 
 def _cmd_classify(args) -> tuple[str, int]:
@@ -164,26 +205,27 @@ def _cmd_matrix(args) -> tuple[str, int]:
             "N": args.N,
         }
     if args.format == "csv":
-        return _matrix_csv(pairs, a), 0
-    result = {
-        "order": args.N,
-        "pairs": [list(p) for p in pairs],
-        "entries": _matrix_entries(a),
-    }
-    return _document("matrix", inputs, result, diagnostics), 0
+        return _matrix_csv(pairs, _entry_rows(a, str)), 0
+    return _matrix_json(inputs, diagnostics, args.N, pairs, a), 0
 
 
-def _matrix_csv(pairs, a) -> str:
+def _matrix_json(inputs: dict, diagnostics: dict, order: int, pairs, a) -> str:
+    from json.encoder import encode_basestring_ascii
+
+    result = {"order": order, "pairs": _PAIRS, "entries": _ENTRIES}
+    document = _document("matrix", inputs, result, diagnostics)
+    document = _splice(document, _PAIRS, [[str(n), str(m)] for n, m in pairs])
+    rows = _entry_rows(a, encode_basestring_ascii)
+    return _splice(document, _ENTRIES, rows)
+
+
+def _matrix_csv(pairs, rows) -> str:
     import csv
-
-    from .symbols import format_scalar
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["n", "m"] + [f"e({n},{m})" for (n, m) in pairs]
-    writer.writerow(header)
-    for (n, m), row in zip(pairs, a.data):
-        writer.writerow([n, m] + [format_scalar(c) for c in row])
+    writer.writerow(["n", "m"] + [f"e({n},{m})" for (n, m) in pairs])
+    writer.writerows([n, m, *row] for (n, m), row in zip(pairs, rows))
     return buf.getvalue()
 
 
@@ -223,8 +265,17 @@ def run_suites(suite: str, n_max: int | None) -> list:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    if args.n_max is not None and args.n_max < 1:
-        raise UsageError("--N-max must be >= 1")
+    if args.n_max is not None:
+        if args.n_max < 1:
+            raise UsageError("--N-max must be >= 1")
+        names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+        low = max(SUITE_MIN_BOUND.get(name, 1) for name in names)
+        if args.n_max < low:
+            # a suite would pass with none of its grid checked
+            raise UsageError(
+                f"--N-max must be >= {low} for --suite {args.suite}: "
+                "a smaller bound leaves its grid empty"
+            )
     reports = run_suites(args.suite, args.n_max)
     result = {
         "suites": [

@@ -175,25 +175,20 @@ def format_rational(value: Fraction) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-def _format_ratio(p: int, q: int) -> str:
-    """p/q in lowest terms, q > 0, as format_rational prints it."""
-    g = gcd(p, q)
-    if g > 1:
-        p //= g
-        q //= g
-    return str(p) if q == 1 else "%d/%d" % (p, q)
-
-
 def format_scalar(c: GaussianRational) -> str:
     """Canonical scalar string: "p/q" when real, else "p/q+r/si"."""
-    if c.is_zero:
-        return "0"
-    a, b, d = c.num_re, c.num_im, c.den
+    a, b, d = c.triple
     if b == 0:
-        # gcd(a, 0, d) = gcd(a, d) = 1: a/d is already in lowest terms
-        return str(a) if d == 1 else "%d/%d" % (a, d)
-    sign = "-" if b < 0 else "+"
-    return "%s%s%si" % (_format_ratio(a, d), sign, _format_ratio(abs(b), d))
+        # gcd(a, 0, d) = gcd(a, d) = 1: a/d is already in lowest terms, and
+        # zero, the most frequent entry, is the triple (0, 0, 1)
+        if d == 1:
+            return "0" if a == 0 else str(a)
+        return f"{a}/{d}"
+    g = gcd(a, d)
+    h = gcd(b, d)
+    re = str(a // g) if g == d else f"{a // g}/{d // g}"
+    im = str(abs(b) // h) if h == d else f"{abs(b) // h}/{d // h}"
+    return f"{re}{'-' if b < 0 else '+'}{im}i"
 
 
 def _monomial_str(n: int, m: int) -> str:

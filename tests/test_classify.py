@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualtoeplitz import (
     Element,
+    ExactMatrix,
     GaussianRational,
     NotNormalCertificate,
     Verdict,
@@ -19,6 +22,7 @@ from dualtoeplitz import (
     numeric_certificate,
     parse_symbol,
     q_value,
+    rank,
     selfcomm_form_matrix,
 )
 
@@ -120,6 +124,50 @@ class TestHarmonicRule:
             v = classify_harmonic(parse_symbol(text))
             assert v.status is VerdictStatus.NOT_HYPONORMAL
             assert v.rule == "harmonic-pencil-free"
+
+
+_parts = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+)
+_scalars = st.builds(GaussianRational, _parts, _parts)
+
+
+@st.composite
+def harmonic_symbols(draw):
+    """Harmonic symbols: free coefficients (a_k on z^k, b_k on zb^k), or
+    alpha*h + beta with h real-valued (b_k = alpha*conj(c_k) when a_k =
+    alpha*c_k), whose coefficient matrix has rank <= 1."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        a = [draw(_scalars) for _ in degrees]
+        b = [draw(_scalars) for _ in degrees]
+    else:
+        alpha = draw(_scalars.filter(bool))
+        c = [draw(_scalars) for _ in degrees]
+        a = [alpha * x for x in c]
+        b = [alpha * x.conjugate() for x in c]
+    terms = [((0, 0), draw(_scalars))]
+    terms += [((k, 0), x) for k, x in zip(degrees, a)]
+    terms += [((0, k), y) for k, y in zip(degrees, b)]
+    return Element(terms)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(harmonic_symbols())
+def test_harmonic_rule_matches_exact_rank(phi):
+    # the rule reads rank <= 1 off the 2x2 minors; Bareiss decides it here
+    degrees = sorted({max(mono.n, mono.m) for mono, _ in phi.terms()} - {0})
+    rows = []
+    for k in degrees:
+        a_k, b_k = phi.coefficient(k, 0), phi.coefficient(0, k)
+        rows += [[a_k, b_k.conjugate()], [b_k, a_k.conjugate()]]
+    verdict = classify_harmonic(phi)
+    if not rows:
+        assert verdict.rule == "constant-symbol"
+    elif rank(ExactMatrix(rows)) <= 1:
+        assert verdict == Verdict(VerdictStatus.NORMAL, "harmonic-pencil-constant")
+    else:
+        assert verdict == Verdict(VerdictStatus.NOT_HYPONORMAL, "harmonic-pencil-free")
 
 
 class TestDispatcher:

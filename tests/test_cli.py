@@ -1,5 +1,6 @@
 """Command-line front end: JSON shape, determinism, exit codes, CSV dumps."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,12 +9,27 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualtoeplitz
 import dualtoeplitz.cli as cli
-from dualtoeplitz import BACKEND_NAME, SuiteReport, apply, format_element, parse_symbol
+from dualtoeplitz import (
+    BACKEND_NAME,
+    Element,
+    ExactMatrix,
+    GaussianRational,
+    SelfcommAssembly,
+    SuiteReport,
+    apply,
+    format_element,
+    format_scalar,
+    parse_symbol,
+)
 
 EXPECTED_TOP_KEYS = {"command", "inputs", "result", "diagnostics", "version"}
 
@@ -193,10 +209,142 @@ class TestMatrixCommand:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("mark", [cli._ENTRIES, cli._PAIRS])
+    @pytest.mark.parametrize("flag", ["--symbol", "--symbol2"])
+    def test_symbol_holding_a_stand_in_is_refused(self, capsys, mark, flag):
+        # the report's arrays are spliced in where these strings stand, so
+        # no echoed input may hold one; the symbol parser refuses them
+        symbols = {"--symbol": "z", "--symbol2": "zb"}
+        symbols[flag] += mark
+        code, out, err = run_cli(
+            capsys, "matrix", "commutator", "--N", "2",
+            "--symbol", symbols["--symbol"], "--symbol2", symbols["--symbol2"],
+        )
+        assert code == 2 and out == "" and "error:" in err
+
     def test_other_commands_have_no_format_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["classify", "--symbol", "z", "--format", "csv"])
         assert info.value.code == 2
+
+
+# scalars drawn from a small pool, so that matrices repeat values
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-2, max_value=2, max_denominator=9),
+)
+_scalars = st.builds(GaussianRational, _rationals, _rationals)
+
+
+@st.composite
+def _shared_matrices(draw):
+    """Square matrices, 1x1 included, whose entries are drawn from a few
+    objects (shared, as the assembled matrices share theirs) or are fresh
+    objects, some equal to a shared one."""
+    size = draw(st.integers(1, 4))
+    pool = draw(st.lists(_scalars, min_size=1, max_size=4))
+    pool.append(GaussianRational(0))
+
+    def entry():
+        c = draw(st.sampled_from(pool))
+        fresh = draw(st.integers(0, 2))
+        if fresh == 1:
+            return c + 0  # equal value, distinct object
+        return draw(_scalars) if fresh == 2 else c
+
+    return ExactMatrix([[entry() for _ in range(size)] for _ in range(size)])
+
+
+def _reference_report(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+HYP = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+class TestMatrixReportWriter:
+    """The report's arrays are written row by row, each distinct entry
+    formatted once; the text must be what json.dumps(..., indent=2) makes of
+    the per-entry strings."""
+
+    @HYP
+    @given(_shared_matrices())
+    def test_rows_are_the_formatted_entries(self, a):
+        strings = [[format_scalar(c) for c in row] for row in a.data]
+        # CSV takes the rows as they are, JSON takes them quoted
+        assert cli._entry_rows(a, str) == strings
+        assert cli._entry_rows(a, encode_basestring_ascii) == [
+            [json.dumps(s) for s in row] for row in strings
+        ]
+
+    @HYP
+    @given(_shared_matrices())
+    def test_spliced_document_is_the_indented_dump(self, a):
+        n = len(a.data)
+        pairs = [(i, i + 1) for i in range(n)]
+        strings = [[format_scalar(c) for c in row] for row in a.data]
+        inputs = {"kind": "selfcomm", "symbol": "z^2 zb", "N": n}
+        diagnostics = {"backend": BACKEND_NAME, "rank": 0}
+        document = cli._matrix_json(inputs, diagnostics, n, pairs, a)
+        result = {"order": n, "pairs": [list(p) for p in pairs], "entries": strings}
+        assert document == _reference_report(
+            {
+                "command": "matrix",
+                "inputs": inputs,
+                "result": result,
+                "diagnostics": diagnostics,
+                "version": dualtoeplitz.__version__,
+            }
+        )
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), _scalars),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(1, 3),
+    )
+    def test_whole_report_is_the_indented_dump(self, terms, order):
+        phi = Element(terms)
+        text = format_element(phi)
+        argv = ["matrix", "selfcomm", "--symbol", text, "--N", str(order)]
+        # capsys is per test, not per example, so the output is captured here
+        code, out, err = self._run(argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        a = SelfcommAssembly(parse_symbol(text)).matrix(order)
+        assert doc["result"]["entries"] == [
+            [format_scalar(c) for c in row] for row in a.data
+        ]
+        assert out == _reference_report(doc)
+        code, out, err = self._run(argv + ["--format", "csv"])
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[2:] for row in rows] == doc["result"]["entries"]
+
+    @staticmethod
+    def _run(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        return code, stdout.getvalue(), stderr.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("selfcomm", "--symbol", "z zb", "--N", "1"),
+            ("selfcomm", "--symbol", "(-3/5+4/5i) z^2 zb", "--N", "4"),
+            ("selfcomm", "--symbol", "z^2 zb + (1/2-1/3i) z zb^2 + zb", "--N", "3"),
+            ("commutator", "--symbol", "z^2 zb + z^3", "--symbol2", "zb^2 + z", "--N", "3"),
+        ],
+    )
+    def test_matrix_reports_are_the_indented_dump(self, capsys, argv):
+        code, out, err = run_cli(capsys, "matrix", *argv)
+        assert code == 0, err
+        assert out == _reference_report(json.loads(out))
 
 
 class TestRankCommand:
@@ -260,6 +408,29 @@ class TestVerifyCommand:
             assert code == 2
             assert out == ""
             assert "--N-max must be >= 1" in err
+
+    @pytest.mark.parametrize("suite", ["radial", "commutator-parity", "all"])
+    def test_bound_that_empties_a_grid_is_a_usage_error(self, capsys, suite, monkeypatch):
+        # radial's pairs need n != m and the commutator grid starts at order
+        # 2, so a bound of 1 used to report them passed with none of their
+        # grid checked; the bound is refused before the suites load
+        def no_suites(*args):
+            raise AssertionError("the suites ran")
+
+        monkeypatch.setattr(cli, "run_suites", no_suites)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--N-max", "1")
+        assert code == 2
+        assert out == ""
+        assert "--N-max must be >= 2" in err
+
+    @pytest.mark.parametrize("suite", ["monomial", "two-term", "harmonic"])
+    def test_bound_of_one_runs_the_other_suites(self, capsys, suite):
+        # their grids are not empty at 1, so they run and report; two-term
+        # and harmonic still fail there (the tiny-limit bug), not refused
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--N-max", "1")
+        assert code in (0, 1), err
+        (report,) = json.loads(out)["result"]["suites"]
+        assert report["checks"] > 0
 
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -396,13 +567,16 @@ class TestLoadSet:
             (("rank", "--symbol", "z", "--N-max", "two"), 2),
             (("classify",), 2),
             (("verify", "--suite", "radial", "--N-max", "0"), 2),
+            (("verify", "--suite", "all", "--N-max", "1"), 2),
         ],
     )
     def test_help_and_usage_errors_load_no_computing_module(self, argv, code):
-        # the parser needs only the package's constants
+        # the parser needs only the package's constants, and json loads
+        # only to write a report
         proc, modules = self.loaded(*argv)
         assert proc.returncode == code, proc.stderr
         assert self.submodules(modules) == set()
+        assert "json" not in modules
 
     def test_inner_product_loads_only_the_scalars_and_elements(self):
         proc, modules = self.loaded(
@@ -451,6 +625,14 @@ class TestLoadSet:
         assert proc.returncode == 0, proc.stderr
         assert "csv" in modules
         assert "dualtoeplitz.verify" not in modules
+
+    @pytest.mark.parametrize("fmt, loads_json", [("json", True), ("csv", False)])
+    def test_json_loads_only_for_a_json_report(self, fmt, loads_json):
+        proc, modules = self.loaded(
+            "matrix", "selfcomm", "--symbol", "z^2 zb", "--N", "2", "--format", fmt
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ("json" in modules) is loads_json
 
     def test_verify_still_loads_and_runs_the_suites(self):
         proc, modules = self.loaded("verify", "--suite", "radial")

@@ -137,6 +137,29 @@ class TestFormat:
             expected = format_rational(c.re) + sign + format_rational(abs(c.im)) + "i"
         assert format_scalar(c) == expected
 
+    parts = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-10**12, 10**12).map(Fraction),
+        st.fractions(max_denominator=10**6),
+    )
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(parts, parts)
+    def test_scalar_matches_reference_on_special_parts(self, re_part, im_part):
+        # zero, real, purely imaginary and whole parts, each printed from its
+        # own Fraction in lowest terms
+        def ratio(x):
+            if x.denominator == 1:
+                return str(x.numerator)
+            return f"{x.numerator}/{x.denominator}"
+
+        if im_part == 0:
+            expected = ratio(re_part)
+        else:
+            sign = "-" if im_part < 0 else "+"
+            expected = ratio(re_part) + sign + ratio(abs(im_part)) + "i"
+        assert format_scalar(GaussianRational(re_part, im_part)) == expected
+
     def test_zero_element(self):
         assert format_element(Element.zero()) == "0"
         assert parse_symbol("0").is_zero

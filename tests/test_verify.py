@@ -1,6 +1,9 @@
 """The verification suites: every check still runs, and every one passes."""
 
-from dualtoeplitz.verify import SUITE_NAMES, run_suites
+import pytest
+
+from dualtoeplitz import SUITE_MIN_BOUND
+from dualtoeplitz.verify import SUITE_NAMES, run_suite, run_suites
 
 # checks per suite at the default bounds; a change that drops a check (a
 # faster kernel that skips work, a trimmed grid) must show up here
@@ -20,3 +23,18 @@ def test_all_suites_pass_with_pinned_check_counts():
     assert sum(r.checks for r in reports) == 701
     for report in reports:
         assert report.passed, report.failures
+
+
+# checks that do not depend on the bound: the commutator suite's adjoint
+# identities
+UNBOUNDED_CHECKS = {"radial": 0, "commutator-parity": 3}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_min_bound_is_where_the_grid_starts(name):
+    # the command line refuses a bound below SUITE_MIN_BOUND without loading
+    # the suites, so the table must say where each grid really starts
+    low = SUITE_MIN_BOUND.get(name, 1)
+    assert run_suite(name, low).checks > UNBOUNDED_CHECKS.get(name, 0)
+    if low > 1:
+        assert run_suite(name, low - 1).checks == UNBOUNDED_CHECKS[name]
