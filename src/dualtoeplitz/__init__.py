@@ -79,7 +79,6 @@ _LAZY = dict.fromkeys(
         "adjoint_symbol",
         "apply",
         "build_basis",
-        "commutator_matrices",
         "commutator_matrix",
         "commutator_range_gram",
         "q_value",

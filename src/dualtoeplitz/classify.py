@@ -177,7 +177,7 @@ def numeric_certificate(
         if forms.vanishes(order):
             continue
         basis = build_basis(order)
-        a = forms.matrix(basis)
+        a = forms.matrix(order)
         location = a.first_nonzero()
         if location is None:
             raise RuntimeError(

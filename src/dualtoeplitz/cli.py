@@ -14,7 +14,8 @@ Reports are JSON documents with top-level keys {"command", "inputs",
 "result", "diagnostics", "version"}, serialized with sorted keys and
 canonical rational strings so identical invocations produce byte-identical
 output.  Timing goes to stderr only.  Exit codes: 0 success / all checks
-passed, 1 verification failure, 2 usage or parse error.
+passed, 1 verification failure, 2 usage or parse error, or an ``--out``
+file that cannot be written.
 
 A ``matrix`` report holds N^4 entries and N^2 exponent pairs, so those two
 arrays bypass the indenting encoder (with ``indent`` set, ``json`` falls back
@@ -379,8 +380,12 @@ def main(argv=None) -> int:
         return 2
     elapsed = time.perf_counter() - started
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     print(f"timing: {args.command} took {elapsed:.3f}s", file=sys.stderr)

@@ -181,9 +181,6 @@ class TruncatedBasis:
             raise ValueError("exponents out of range for this basis")
         return (n - 1) * self.order + (m - 1)
 
-    def vector(self, n: int, m: int) -> Element:
-        return self.vectors[self.index(n, m)]
-
     def __len__(self) -> int:
         return len(self.vectors)
 
@@ -243,9 +240,7 @@ def _allowed(pairs: Sequence[Pair], shifts: set[int]) -> Iterator[tuple[int, int
 Pair = tuple[int, int]
 
 
-def _order(order: int | TruncatedBasis) -> int:
-    if isinstance(order, TruncatedBasis):
-        return order.order
+def _order(order: int) -> int:
     if order < 1:
         raise ValueError("basis order must be >= 1")
     return order
@@ -412,7 +407,7 @@ class SelfcommAssembly:
         # how many chosen columns have a zero Gram <M_t, M_s>_G among them
         self._checked = 0
 
-    def matrix(self, order: int | TruncatedBasis) -> ExactMatrix:
+    def matrix(self, order: int) -> ExactMatrix:
         """See selfcomm_form_matrix."""
         pairs = exponent_pairs(_order(order))
         columns = self._factor.columns(pairs)
@@ -424,12 +419,12 @@ class SelfcommAssembly:
             hermitian=True,
         )
 
-    def factor(self, order: int | TruncatedBasis) -> list[Column]:
+    def factor(self, order: int) -> list[Column]:
         """The factor columns M_j = (Q(conj(phi) e_j), Q(phi e_j)) in basis
         order, keyed as in the module docstring."""
         return self._factor.columns(exponent_pairs(_order(order)))
 
-    def vanishes(self, order: int | TruncatedBasis) -> bool:
+    def vanishes(self, order: int) -> bool:
         """Whether the form matrix is zero at this order, from the Gram of the
         chosen columns alone (module docstring).  The chosen set only grows
         with the order, so each order checks its new columns against the
@@ -447,7 +442,7 @@ class SelfcommAssembly:
         self._checked = len(chosen)
         return True
 
-    def rank(self, order: int | TruncatedBasis) -> int:
+    def rank(self, order: int) -> int:
         """Rank of the form matrix at this order, from the factor's echelon
         alone (module docstring)."""
         chosen, keys = self._factor.selection(_order(order))
@@ -457,12 +452,11 @@ class SelfcommAssembly:
         )
 
 
-def selfcomm_form_matrix(phi: Element, order: int | TruncatedBasis) -> ExactMatrix:
+def selfcomm_form_matrix(phi: Element, order: int) -> ExactMatrix:
     """Hermitian matrix A with A[i][j] = <S e_j, S e_i> - <S* e_j, S* e_i>.
 
     For f = sum c_j e_j the form value c* A c equals q_value(phi, f); the
-    operator is hyponormal on the truncated span iff A is PSD.  ``order`` is a
-    truncation order or a basis from build_basis.
+    operator is hyponormal on the truncated span iff A is PSD.
     """
     return SelfcommAssembly(phi).matrix(order)
 
@@ -512,7 +506,7 @@ class CommutatorAssembly:
             out.append(w)
         return out
 
-    def pairing(self, order: int | TruncatedBasis) -> ExactMatrix:
+    def pairing(self, order: int) -> ExactMatrix:
         """See commutator_matrix."""
         pairs = exponent_pairs(_order(order))
         columns = self._columns.columns(pairs)
@@ -525,7 +519,7 @@ class CommutatorAssembly:
             hermitian=False,
         )
 
-    def range_gram(self, order: int | TruncatedBasis) -> ExactMatrix:
+    def range_gram(self, order: int) -> ExactMatrix:
         """See commutator_range_gram."""
         pairs = exponent_pairs(_order(order))
         w = self._images(pairs)
@@ -537,18 +531,14 @@ class CommutatorAssembly:
             hermitian=True,
         )
 
-    def matrices(self, order: int | TruncatedBasis) -> tuple[ExactMatrix, ExactMatrix]:
-        """The pairing and the range Gram at one order."""
-        return self.pairing(order), self.range_gram(order)
-
-    def factors(self, order: int | TruncatedBasis) -> tuple[list[Column], list[Column]]:
+    def factors(self, order: int) -> tuple[list[Column], list[Column]]:
         """The column factors C_j = (Q(phi e_j), Q(psi e_j)) and the row
         factors R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i)) in basis order,
         keyed as in the module docstring."""
         pairs = exponent_pairs(_order(order))
         return self._columns.columns(pairs), self._rows.columns(pairs)
 
-    def ranks(self, order: int | TruncatedBasis) -> tuple[int, int]:
+    def ranks(self, order: int) -> tuple[int, int]:
         """Ranks of the pairing and the range Gram at this order: factored_rank
         of R^H G C, and the dimension of the span of the images w_j over a
         maximal independent set S of the columns C_j.  S at order N - 1 is a
@@ -573,20 +563,11 @@ class CommutatorAssembly:
         return pairing_rank, sizes[len(chosen)]
 
 
-def commutator_matrices(
-    phi: Element, psi: Element, order: int | TruncatedBasis
-) -> tuple[ExactMatrix, ExactMatrix]:
-    """commutator_matrix and commutator_range_gram of one assembly."""
-    return CommutatorAssembly(phi, psi).matrices(order)
-
-
-def commutator_matrix(phi: Element, psi: Element, order: int | TruncatedBasis) -> ExactMatrix:
+def commutator_matrix(phi: Element, psi: Element, order: int) -> ExactMatrix:
     """Pairing B[i][j] = <(S_phi S_psi - S_psi S_phi) e_j, e_i> on the basis."""
     return CommutatorAssembly(phi, psi).pairing(order)
 
 
-def commutator_range_gram(
-    phi: Element, psi: Element, order: int | TruncatedBasis
-) -> ExactMatrix:
+def commutator_range_gram(phi: Element, psi: Element, order: int) -> ExactMatrix:
     """Gram matrix of the commutator outputs g_j; its rank is dim span{g_j}."""
     return CommutatorAssembly(phi, psi).range_gram(order)

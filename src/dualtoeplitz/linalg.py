@@ -6,15 +6,9 @@ is closed under (n, m) <-> (m, n), and |Q(conj(phi) e_{n,m})| =
 |Q(phi e_{m,n})|.  A trace-zero Hermitian form is PSD exactly when it is
 zero, so psd_test needs no elimination: a nonzero form gets an exact
 witness from its diagonal, or from its first nonzero entry when the
-diagonal vanishes.  A rank splits the matrix into the connected blocks of
-its nonzero pattern and sums their ranks, each found by fraction-free
-(Bareiss) elimination on plain Python ints: every row is scaled to Gaussian
-integers, kept as a pair of int lists (real and imaginary parts), and each
-Bareiss division by the previous pivot is exact by Sylvester's identity and
-checked, so a kernel bug raises instead of giving a wrong rank.  No floating
-point anywhere.
+diagonal vanishes.
 
-One sparse row-echelon routine, Echelon, serves every factored form.  It
+One sparse row-echelon routine, Echelon, does every elimination.  It
 takes columns one at a time, so it can grow with the truncation order, and
 its pivots (leading entry 1, other keys above the lead) never change once
 made.  A column that reduces to nothing depends on the ones before it; the
@@ -33,15 +27,14 @@ lies in W = G^-1 V_R^perp.  So rank B = dim V_C - dim(V_C cap W), and
 dim(V_C cap W) = dim V_C + dim W - dim(V_C + W), with dim W = dim V_R^perp
 since G is invertible.  A Hermitian form A = M^H G M is the case R = C = M.
 
-The elimination on whole matrices, rank(), is the route the classifier, the
-verify suites and the tests use as an independent cross-check of it.
+The rank of a whole matrix, rank(), is the pivot count of its columns in
+one Echelon: the route that does not go through a factorization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._kernel import (
@@ -237,107 +230,12 @@ def factored_rank(
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank: the sum of the ranks of the connected blocks of m."""
-    return sum(
-        _bareiss_rank([[m.data[i][j] for j in cols] for i in rows])
-        for rows, cols in _blocks(m)
-    )
-
-
-def _blocks(m: ExactMatrix) -> list[tuple[list[int], list[int]]]:
-    """Row and column indices of the connected components of the graph that
-    joins row i to column j whenever m[i][j] is nonzero.  Up to a permutation
-    of rows and of columns, m is block diagonal with these blocks; zero rows
-    and zero columns belong to none."""
-    parent = list(range(m.rows + m.cols))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, row in enumerate(m.data):
-        for j, c in enumerate(row):
-            if not c.is_zero:
-                parent[find(i)] = find(m.rows + j)
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    """Exact rank: the number of pivots that m's columns make in one
+    Echelon, each column keyed by its row indices."""
+    echelon = Echelon()
     for j in range(m.cols):
-        blocks.setdefault(find(m.rows + j), ([], []))[1].append(j)
-    for i in range(m.rows):
-        block = blocks.get(find(i))
-        if block is not None:
-            block[0].append(i)
-    return [block for block in blocks.values() if block[0]]
-
-
-def _bareiss_rank(data: list[list[GaussianRational]]) -> int:
-    """Rank of a nonempty dense block by fraction-free Gaussian elimination.
-
-    Each row is scaled by the lcm of its denominators, which leaves the rank
-    unchanged and makes every entry a Gaussian integer x + iy, kept as two
-    plain ints in a real list and an imaginary list.  The Bareiss update
-    y <- (pivot*y - s*x) / prev then stays in the Gaussian integers: every
-    intermediate entry is a minor of the scaled block (Sylvester's identity),
-    so the division by the previous pivot is exact.  It is done as
-    t * conj(prev) divided by |prev|^2 in both parts, or directly by prev when
-    prev is real (as the leading minors of a Hermitian form are), and a
-    nonzero remainder raises instead of yielding a wrong rank.
-    """
-    re_rows: list[list[int]] = []
-    im_rows: list[list[int]] = []
-    for row in data:
-        scale = 1
-        for c in row:
-            scale = lcm(scale, c.den)
-        re_rows.append([c.num_re * (scale // c.den) for c in row])
-        im_rows.append([c.num_im * (scale // c.den) for c in row])
-    rows, cols = len(re_rows), len(re_rows[0])
-    prev_re, prev_im, norm = 1, 0, 1
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        piv_row = None
-        for i in range(r, rows):
-            if re_rows[i][col] or im_rows[i][col]:
-                piv_row = i
-                break
-        if piv_row is None:
-            continue
-        if piv_row != r:
-            re_rows[r], re_rows[piv_row] = re_rows[piv_row], re_rows[r]
-            im_rows[r], im_rows[piv_row] = im_rows[piv_row], im_rows[r]
-        x_re, x_im = re_rows[r], im_rows[r]
-        p_re, p_im = x_re[col], x_im[col]
-        for i in range(r + 1, rows):
-            y_re, y_im = re_rows[i], im_rows[i]
-            s_re, s_im = y_re[col], y_im[col]
-            for j in range(col + 1, cols):
-                a, b = y_re[j], y_im[j]
-                c, d = x_re[j], x_im[j]
-                t_re = p_re * a - p_im * b - s_re * c + s_im * d
-                t_im = p_re * b + p_im * a - s_re * d - s_im * c
-                if t_re or t_im:
-                    if prev_im:
-                        t_re, t_im = (
-                            t_re * prev_re + t_im * prev_im,
-                            t_im * prev_re - t_re * prev_im,
-                        )
-                    q_re, rem_re = divmod(t_re, norm)
-                    q_im, rem_im = divmod(t_im, norm)
-                    if rem_re or rem_im:
-                        raise ArithmeticError(
-                            "inexact Bareiss division in rank; this is a bug"
-                        )
-                    y_re[j], y_im[j] = q_re, q_im
-                else:
-                    y_re[j] = y_im[j] = 0
-            y_re[col] = y_im[col] = 0
-        prev_re, prev_im = p_re, p_im
-        norm = p_re * p_re + p_im * p_im if p_im else p_re
-        r += 1
-    return r
+        echelon.add({i: row[j] for i, row in enumerate(m.data)})
+    return len(echelon.pivots)
 
 
 def is_antisymmetric(m: ExactMatrix) -> bool:

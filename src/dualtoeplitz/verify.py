@@ -18,8 +18,9 @@ Suite names:
                          numeric certificates.
 - ``radial``             radial symbols: commutator residual scalar law.
 - ``commutator-parity``  commutator compressions: antisymmetry under the
-                         conjugation swap, even rank, agreement with the
-                         range-Gram rank on the frozen pair grid.
+                         conjugation swap, and the pairing and range-Gram
+                         ranks the command line reports (even, equal to the
+                         pairing's own rank and to the frozen pair grid).
 - ``all``                everything above, in that order.
 """
 
@@ -405,24 +406,25 @@ def _suite_commutator(n_max: int | None = None) -> SuiteReport:
         for N, expected in zip(COMMUTATOR_ORDERS, expected_ranks):
             if N not in orders:
                 continue
-            matrix, gram = pair.matrices(N)
-            swapped = matrix.permute_rows(swaps[N])
+            pairing = pair.pairing(N)
             report.check(
-                is_antisymmetric(swapped),
+                is_antisymmetric(pairing.permute_rows(swaps[N])),
                 f"[{phi_text}, {psi_text}] at order {N}: "
                 "swap-permuted matrix not antisymmetric",
             )
-            r = rank(matrix)
+            # the ranks the command line reports, from the factors
+            r, g = pair.ranks(N)
             report.check(
                 r % 2 == 0,
                 f"[{phi_text}, {psi_text}] at order {N}: odd rank {r}",
             )
+            # and the pairing's own rank, which takes no factorization
+            whole = rank(pairing)
             report.check(
-                r == expected,
+                r == whole == expected,
                 f"[{phi_text}, {psi_text}] at order {N}: rank {r}, "
-                f"expected {expected}",
+                f"pairing rank {whole}, expected {expected}",
             )
-            g = rank(gram)
             report.check(
                 g == expected,
                 f"[{phi_text}, {psi_text}] at order {N}: range-Gram rank {g}, "

@@ -155,7 +155,8 @@ def harmonic_symbols(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(harmonic_symbols())
 def test_harmonic_rule_matches_exact_rank(phi):
-    # the rule reads rank <= 1 off the 2x2 minors; Bareiss decides it here
+    # the rule reads rank <= 1 off the 2x2 minors; rank() decides it here by
+    # elimination
     degrees = sorted({max(mono.n, mono.m) for mono, _ in phi.terms()} - {0})
     rows = []
     for k in degrees:

@@ -487,6 +487,16 @@ class TestOutputFile:
         _, stdout_run, _ = run_cli(capsys, "classify", "--symbol", "z zb")
         assert text == stdout_run
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "dir" / "x.json"
+        code, out, err = run_cli(
+            capsys, "rank", "--symbol", "z", "--N-max", "2", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.exists()
+
 
 class TestVersionAndScript:
     def test_version_key(self, capsys):

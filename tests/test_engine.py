@@ -25,7 +25,6 @@ from dualtoeplitz import (
     apply,
     build_basis,
     closed_form_apply,
-    commutator_matrices,
     commutator_matrix,
     commutator_range_gram,
     complement_project,
@@ -334,10 +333,8 @@ class TestGradedAssembly:
         )
         gram = ExactMatrix.build(size, size, lambda i, j: inner_product(w[j], w[i]))
         assert selfcomm_form_matrix(phi, order) == form
-        assert selfcomm_form_matrix(phi, basis) == form
         assert commutator_matrix(phi, psi, order) == pairing
         assert commutator_range_gram(phi, psi, order) == gram
-        assert commutator_matrices(phi, psi, basis) == (pairing, gram)
 
     @HYP
     @given(symbols, symbols, orders)
@@ -365,7 +362,7 @@ def fresh_certificate(phi, order_limit):
     """The certificate search with a new assembly at every order."""
     for order in range(1, order_limit + 1):
         basis = build_basis(order)
-        a = selfcomm_form_matrix(phi, basis)
+        a = selfcomm_form_matrix(phi, order)
         location = a.first_nonzero()
         if location is None:
             continue
@@ -399,9 +396,9 @@ class TestAcrossOrders:
         forms = SelfcommAssembly(phi)
         pair = CommutatorAssembly(psi, phi)
         for order in sequence:
-            basis = build_basis(order)
-            assert forms.matrix(basis) == selfcomm_form_matrix(phi, order)
-            assert pair.matrices(basis) == commutator_matrices(psi, phi, order)
+            assert forms.matrix(order) == selfcomm_form_matrix(phi, order)
+            assert pair.pairing(order) == commutator_matrix(psi, phi, order)
+            assert pair.range_gram(order) == commutator_range_gram(psi, phi, order)
 
     @HYP
     @given(symbols, st.integers(min_value=1, max_value=4))
@@ -426,7 +423,8 @@ class TestAcrossOrders:
             assert all(row["rank"] == 0 for row in got)
         want = []
         for order in range(1, n_max + 1):
-            b, gram = commutator_matrices(phi, psi, order)
+            pair = CommutatorAssembly(phi, psi)
+            b, gram = pair.pairing(order), pair.range_gram(order)
             want.append({"N": order, "rank": rank(b), "gram_rank": rank(gram)})
         got = rank_table(
             "--symbol", phi_text, "--symbol2", psi_text, "--N-max", str(n_max)
@@ -455,12 +453,12 @@ class TestTraceZeroForms:
     def test_witness_rules(self, phi, order):
         basis = build_basis(order)
         forms = SelfcommAssembly(phi)
-        a = forms.matrix(basis)
+        a = forms.matrix(order)
         n = len(basis)
         diagonal = [a[k, k] for k in range(n)]
         assert sum(diagonal, start=GaussianRational(0)).is_zero
         result = psd_test(a)
-        assert result.is_psd == a.is_zero == (forms.rank(basis) == 0)
+        assert result.is_psd == a.is_zero == (forms.rank(order) == 0)
         if result.is_psd:
             assert result.rank == 0
             return
@@ -572,14 +570,14 @@ class TestOrderPathsBuildNoBasis:
         assert [forms.vanishes(order) for order in range(1, 7)] == [
             r == 0 for r, _ in got
         ]
-        by_basis = [
+        fresh = [
             (
-                SelfcommAssembly(phi).rank(basis),
-                CommutatorAssembly(psi, phi).ranks(basis),
+                SelfcommAssembly(phi).rank(order),
+                CommutatorAssembly(psi, phi).ranks(order),
             )
-            for basis in no_basis.values()
+            for order in no_basis
         ]
-        assert got == by_basis
+        assert got == fresh
         assert [r for r, _ in got] == [0, 2, 6, 12, 18, 24]
 
     def test_zero_search_builds_no_basis(self, no_basis):
@@ -708,8 +706,8 @@ class TestHarmonicCore:
         basis = build_basis(order)
         bar = adjoint_symbol(phi)
         forms = SelfcommAssembly(phi)
-        a = forms.matrix(basis)
-        halves = [_halves(column) for column in forms.factor(basis)]
+        a = forms.matrix(order)
+        halves = [_halves(column) for column in forms.factor(order)]
         for (q_bar, q), e in zip(halves, basis.vectors):
             assert q_bar == harmonic_project(bar * e)
             assert q == harmonic_project(phi * e)
@@ -722,8 +720,8 @@ class TestHarmonicCore:
     def test_commutator_factor_identity(self, phi, psi, order):
         basis = build_basis(order)
         bar_phi, bar_psi = adjoint_symbol(phi), adjoint_symbol(psi)
-        columns, rows = CommutatorAssembly(phi, psi).factors(basis)
-        b = commutator_matrix(phi, psi, basis)
+        columns, rows = CommutatorAssembly(phi, psi).factors(order)
+        b = commutator_matrix(phi, psi, order)
         adjoint_images = []
         for e, column, row in zip(basis.vectors, columns, rows):
             q_phi, q_psi = _halves(column)
@@ -758,8 +756,9 @@ class TestHarmonicCore:
         a = selfcomm_form_matrix(phi, order)
         assert SelfcommAssembly(phi).rank(order) == rank(a)
         assert rank(a) == bruteforce_rank(matrix_to_pairs(a))
-        b, gram = commutator_matrices(phi, psi, order)
-        assert CommutatorAssembly(phi, psi).ranks(order) == (rank(b), rank(gram))
+        pair = CommutatorAssembly(phi, psi)
+        b, gram = pair.pairing(order), pair.range_gram(order)
+        assert pair.ranks(order) == (rank(b), rank(gram))
         assert rank(b) == bruteforce_rank(matrix_to_pairs(b))
         assert rank(gram) == bruteforce_rank(matrix_to_pairs(gram))
 
@@ -864,7 +863,7 @@ class TestFactorForm:
         bar = adjoint_symbol(phi)
         u = [apply(phi, e) for e in basis.vectors]
         v = [apply(bar, e) for e in basis.vectors]
-        a = SelfcommAssembly(phi).matrix(basis)
+        a = SelfcommAssembly(phi).matrix(order)
         for i in range(len(basis)):
             for j in range(len(basis)):
                 want = inner_product(u[j], u[i]) - inner_product(v[j], v[i])
@@ -883,7 +882,7 @@ class TestFactorForm:
             apply(phi, apply(psi, e)) - apply(psi, apply(phi, e))
             for e in basis.vectors
         ]
-        b = CommutatorAssembly(phi, psi).pairing(basis)
+        b = CommutatorAssembly(phi, psi).pairing(order)
         for i, e in enumerate(basis.vectors):
             for j in range(len(basis)):
                 assert _triple(b[i, j]) == _triple(inner_product(w[j], e))
@@ -936,14 +935,14 @@ class TestFactorForm:
         forms = SelfcommAssembly(phi)
         pair = CommutatorAssembly(phi, psi)
         for order in sequence:
-            basis = build_basis(order)
-            assert forms.rank(basis) == _fresh_rank(SelfcommAssembly(phi).factor(basis))
-            b, gram = commutator_matrices(phi, psi, basis)
-            assert pair.ranks(basis) == (rank(b), rank(gram))
+            assert forms.rank(order) == _fresh_rank(SelfcommAssembly(phi).factor(order))
+            fresh = CommutatorAssembly(phi, psi)
+            b, gram = fresh.pairing(order), fresh.range_gram(order)
+            assert pair.ranks(order) == (rank(b), rank(gram))
 
     def test_large_order_rank_pinned(self):
-        # 4N + 4 at N = 24 (rank 100 of 576), found by the core path of
-        # rank A[S, S] with Bareiss elimination
+        # 4N + 4 at N = 24 (rank 100 of 576), first found as the whole-matrix
+        # rank of A[S, S], the form on the chosen columns
         assert SelfcommAssembly(parse_symbol(WIDE_TOP)).rank(24) == 100
 
 
@@ -1058,5 +1057,5 @@ class TestCommutatorImages:
 
         monkeypatch.setattr(engine, "complement_project", refuse)
         pair = CommutatorAssembly(phi, psi)
-        pairing, gram = pair.matrices(5)
+        pairing, gram = pair.pairing(5), pair.range_gram(5)
         assert pair.ranks(5) == (rank(pairing), rank(gram)) == (14, 17)

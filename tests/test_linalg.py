@@ -1,5 +1,5 @@
-"""Exact PSD testing of trace-zero forms, Bareiss rank, echelons, and matrix
-helpers."""
+"""Exact PSD testing of trace-zero forms, echelons and the ranks they give,
+and matrix helpers."""
 
 import random
 from fractions import Fraction
@@ -9,10 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualtoeplitz import (
+    CommutatorAssembly,
     ExactMatrix,
     GaussianRational,
     HermitianForm,
-    commutator_matrices,
     form_value,
     is_antisymmetric,
     parse_symbol,
@@ -296,7 +296,8 @@ entries = st.one_of(st.just(gr(0)), st.builds(gr, small, small))
 @st.composite
 def planted_blocks(draw):
     """Dense blocks on the diagonal, some of rank one, plus zero rows and
-    columns, under random row and column permutations."""
+    columns, under random row and column permutations: columns that meet
+    only some rows, so the echelon's pivots land on scattered keys."""
     shapes = draw(
         st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=4)
     )
@@ -320,6 +321,9 @@ def planted_blocks(draw):
 
 
 class TestBlockRank:
+    """The Echelon rank, rank(), on permuted block-diagonal patterns with
+    zero rows and columns, against the brute-force oracle."""
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(planted_blocks())
     def test_matches_bruteforce_oracle(self, a):
@@ -521,9 +525,10 @@ imaginary_entries = st.builds(lambda y: gr(0, y), big_fractions)
 @st.composite
 def deep_products(draw):
     """One dense n x m block U V with U n x k and V k x m, k >= 3, entries
-    with denominators up to 10^6.  Optionally U's first row is purely
-    imaginary and V's first column real, so the first pivot is purely
-    imaginary and the next Bareiss division is by a non-real number."""
+    with denominators up to 10^6, so the reductions carry large numerators
+    and denominators.  Optionally U's first row is purely imaginary and V's
+    first column real, so the first column's leading entry is purely
+    imaginary and the first pivot is scaled by a purely imaginary inverse."""
     n, m = draw(st.integers(5, 9)), draw(st.integers(5, 9))
     k = draw(st.integers(3, min(n, m)))
     imaginary_pivot = draw(st.booleans())
@@ -546,6 +551,9 @@ def deep_products(draw):
 
 
 class TestDeepRank:
+    """The Echelon rank, rank(), on dense products of rank k with large
+    Gaussian entries, against the brute-force oracle."""
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(deep_products())
     def test_matches_bruteforce_oracle(self, a):
@@ -574,8 +582,8 @@ class TestEngineMatrixRank:
     )
     @pytest.mark.parametrize("order", [3, 5])
     def test_commutator_matrices(self, pair, order):
-        phi, psi = (parse_symbol(text) for text in pair)
-        for m in commutator_matrices(phi, psi, order):
+        assembly = CommutatorAssembly(*(parse_symbol(text) for text in pair))
+        for m in (assembly.pairing(order), assembly.range_gram(order)):
             assert rank(m) == bruteforce_rank(matrix_to_pairs(m))
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from dualtoeplitz import SUITE_MIN_BOUND
+from dualtoeplitz.engine import CommutatorAssembly
 from dualtoeplitz.verify import SUITE_NAMES, run_suite, run_suites
 
 # checks per suite at the default bounds; a change that drops a check (a
@@ -38,3 +39,20 @@ def test_min_bound_is_where_the_grid_starts(name):
     assert run_suite(name, low).checks > UNBOUNDED_CHECKS.get(name, 0)
     if low > 1:
         assert run_suite(name, low - 1).checks == UNBOUNDED_CHECKS[name]
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda r, g: (r + 2, g), lambda r, g: (r, g + 1)],
+    ids=["pairing-rank", "gram-rank"],
+)
+def test_commutator_suite_checks_the_reported_ranks(monkeypatch, wrong):
+    # `rank --symbol2` and `matrix commutator` print CommutatorAssembly.ranks,
+    # so a wrong rank there must fail the suite with every check still run
+    reported = CommutatorAssembly.ranks
+    monkeypatch.setattr(
+        CommutatorAssembly, "ranks", lambda self, order: wrong(*reported(self, order))
+    )
+    report = run_suite("commutator-parity")
+    assert report.checks == SUITE_CHECKS["commutator-parity"]
+    assert not report.passed
