@@ -64,9 +64,9 @@ def _element_payload(e) -> dict:
 
 def _entry_rows(a, encode) -> list[list[str]]:
     """The matrix's rows as text, encode(format_scalar(c)) per entry.  The
-    assembled matrices share their entry objects (one zero, the memoized
-    entries, the real mirror entries below the diagonal), so each distinct
-    object is formatted once and found again by its identity."""
+    assembled matrices share their entry objects (one zero, the real mirror
+    entries below the diagonal), so each distinct object is formatted once
+    and found again by its identity."""
     from .symbols import format_scalar
 
     distinct = {id(c): c for row in a.data for c in row}

@@ -6,28 +6,8 @@ e_{n,m} = (I - Q)(z^n conj(z)^m) for 1 <= n, m <= N, and assembles the exact
 quadratic-form matrices used by the classifier: the self-commutator form and
 the commutator pairing of two symbols.
 
-Assembly is graded by rotation.  Every term of e_{n,m} has the frequency
-d = n - m, multiplying by a term z^a conj(z)^b adds a - b, and the complement
-projection keeps each frequency, so S_phi e_j lives in the frequencies
-d_j + F(phi), where F(phi) is the set of n - m over phi's terms.  Monomials of
-different frequencies are orthogonal, so an inner product of two images is
-zero unless their frequency sets meet.  Only these entries can be nonzero:
-
-- self-commutator form:  d_i - d_j in F(phi) - F(phi);
-- commutator pairing:    d_i - d_j in W = F(phi) + F(psi);
-- commutator range Gram: d_i - d_j in W - W.
-
-The builders compute those entries and leave every other one an exact zero.
-
-Assembly is also incremental in the order.  The basis of order N - 1 is part
-of the basis of order N, and neither an image, a factor column nor an entry,
-keyed by its exponent pairs ((n, m), (k, l)), depends on N.  A
-SelfcommAssembly or CommutatorAssembly keeps them by exponent pair, so a run
-over orders 1..N (the certificate search, the rank table) computes each once.
-The single-order builders are the one-order case of the same code.
-
-The self-commutator form comes from its harmonic factor.  With
-H_phi f = Q(phi f) and |phi| = |conj(phi)|, the form factors as
+Both forms are matrices R^H G C of two harmonic factors.  With
+H_phi f = Q(phi f) and |phi| = |conj(phi)|, the self-commutator factors as
 S_phi* S_phi - S_phi S_phi* = H_conj(phi)* H_conj(phi) - H_phi* H_phi, the
 dual-Toeplitz analogue of the Toeplitz/Hankel identity, so
 
@@ -41,14 +21,41 @@ first half, 2d + 1: in the second}: at most one key per term of each symbol.
 Every entry is the short dot product A[i][j] = <M_j, M_i>_G
 (_kernel.factor_form), and the images S_phi e_j are never formed.
 
-The rank needs no entries at all.  With V = range M,
+The commutator factors the same way.  With P the complement projection,
+w_j = [S_phi, S_psi] e_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)), and
+<P(psi h), e_i> = <h, Q(conj(psi) e_i)> for harmonic h, so
 
-    rank A = dim(V + G^-1 V^perp) - dim V^perp
+    B[i][j] = <w_j, e_i>
+            = <Q(phi e_j), Q(conj(psi) e_i)> - <Q(psi e_j), Q(conj(phi) e_i)>.
 
-(linalg.factored_rank, which has the proof), found from one linalg.Echelon
-of the columns, grown by each order's new exponent pairs, and a basis of
-V^perp from back substitution through its pivots.  G^-1 = diag(+-(|d|+1))
-holds only ints.
+That is B = R^H G C with the same G, the column C_j = (Q(phi e_j), Q(psi e_j))
+and the row R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i)), both keyed as M.
+Since S_phi* = S_conj(phi), the self-commutator is minus a commutator,
+A(phi) = -B(phi, conj(phi)), and A is the case R = C = M.  One core
+(_FactoredForm) fills and ranks both; its matrix is Hermitian exactly when
+R is C.
+
+An entry is computed only where row i and column j share a key.
+<C_j, R_i>_G sums over the keys the two hold, so every other entry is an
+exact zero.  The range Gram, Gram[i][j] = <w_j, w_i>, takes the same rule
+with the frequencies n - m of the images' terms as keys: monomials of
+different frequencies are orthogonal.
+
+Assembly is also incremental in the order.  The basis of order N - 1 is part
+of the basis of order N, and neither a factor column nor a half depends on
+N.  The assemblies keep them by exponent pair, and the selection of
+independent columns grows with the order, so a run over orders 1..N (the
+certificate search, the rank table) computes each once.  Entries and images
+are formed for the matrix of one order.
+
+The rank needs no entries at all.  With V_C = range C and V_R = range R,
+
+    rank R^H G C = dim(V_C + G^-1 V_R^perp) - dim V_R^perp
+
+(linalg.factored_rank, which has the proof), found from a linalg.Echelon
+of each factor's columns, grown by each order's new exponent pairs, and a
+basis of V_R^perp from back substitution through its pivots.
+G^-1 = diag(+-(|d|+1)) holds only ints.
 
 Each column has a closed form in its exponent pair.  With
 e_{n,m} = z^n conj(z)^m - k h_{n-m}, k = (|n-m|+1)/(max(n,m)+1), a term
@@ -89,23 +96,12 @@ a prefix of S at order N, so SelfcommAssembly.vanishes checks each order's
 newly chosen columns against the ones before them: |S|^2 / 2 short dot
 products over a whole run of orders.
 
-The commutator factors the same way.  With P the complement projection,
-w_j = [S_phi, S_psi] e_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)), and
-<P(psi h), e_i> = <h, Q(conj(psi) e_i)> for harmonic h, so
-
-    B[i][j] = <w_j, e_i>
-            = <Q(phi e_j), Q(conj(psi) e_i)> - <Q(psi e_j), Q(conj(phi) e_i)>.
-
-That is B = R^H G C with the same G, the column C_j = (Q(phi e_j), Q(psi e_j))
-and the row R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i)), both keyed as M: the
-entries are factor_form(R_i, C_j), and the rank is factored_rank on the two
-echelons.  The range Gram, Gram[i][j] = <w_j, w_i>, has the rank
-dim span{w_j}.  Since w_j depends linearly on C_j, that span is the span of
-the images of a maximal independent set S of the columns, and its dimension
-is the number of pivots those images make in an Echelon over their terms.
-S grows with the order like the column echelon, so that Echelon grows along
-S too and takes each image once.  Images are formed only for the range Gram
-and for S.
+The range Gram has the rank dim span{w_j}.  Since w_j depends linearly on
+C_j, that span is the span of the images of a maximal independent set S of
+the columns, and its dimension is the number of pivots those images make in
+an Echelon over their terms.  S grows with the order like the column
+echelon, so that Echelon grows along S too and takes each image once.
+Images are formed only for the range Gram and for S.
 
 Each image comes from the halves the factors already hold.  The halves
 Q(phi e_j) and Q(psi e_j), read as sums of the h_d, are multiplied by the
@@ -117,7 +113,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _kernel as kernel
 from .algebra import Element, GaussianRational, complement_project, inner_product
@@ -214,27 +210,6 @@ def build_basis(order: int) -> TruncatedBasis:
     return TruncatedBasis(
         order=order, pairs=pairs, vectors=vectors, swap=swap_permutation(pairs)
     )
-
-
-def _frequencies(phi: Element) -> set[int]:
-    """F(phi): the frequencies n - m of phi's terms."""
-    return {n - m for n, m in phi._terms}
-
-
-def _differences(shifts: set[int]) -> set[int]:
-    """S - S: the shifts under which two images can share a frequency."""
-    return {a - b for a in shifts for b in shifts}
-
-
-def _allowed(pairs: Sequence[Pair], shifts: set[int]) -> Iterator[tuple[int, int]]:
-    """Basis indices (i, j) with d_i - d_j in shifts; every other entry is zero."""
-    by_frequency: dict[int, list[int]] = defaultdict(list)
-    for j, (n, m) in enumerate(pairs):
-        by_frequency[n - m].append(j)
-    for i, (n, m) in enumerate(pairs):
-        for s in shifts:
-            for j in by_frequency.get(n - m - s, ()):
-                yield i, j
 
 
 Pair = tuple[int, int]
@@ -359,70 +334,87 @@ def _inverse_weight(key: int) -> int:
 
 
 def _fill(
-    pairs: Sequence[Pair],
-    shifts: set[int],
-    memo: dict[tuple[Pair, Pair], GaussianRational],
+    rows: Sequence[Iterable],
+    columns: Sequence[Iterable],
     entry: Callable[[int, int], GaussianRational],
     hermitian: bool,
 ) -> ExactMatrix:
-    """The matrix on the basis of these exponent pairs: entry(i, j) on the
-    allowed pairs, computed once per pair of exponent pairs.  A Hermitian
-    matrix computes j >= i and conjugates below the diagonal; the
-    lexicographic basis order makes j >= i the same condition at every
-    truncation order.  Zero entries and real mirror entries share one
-    object, so keeping entries across orders costs no more memory than one
-    matrix."""
-    a = ExactMatrix.zeros(len(pairs), len(pairs))
-    for i, j in _allowed(pairs, shifts):
-        if hermitian and j < i:
-            continue
-        key = (pairs[i], pairs[j])
-        value = memo.get(key)
-        if value is None:
-            value = entry(i, j)
-            if value.is_zero:
-                value = kernel.GR_ZERO
-            memo[key] = value
-        a.data[i][j] = value
-        if hermitian and i != j:
-            a.data[j][i] = value if value.is_real else value.conjugate()
+    """The matrix with entry(i, j) where row i and column j share a key, and
+    an exact zero everywhere else (module docstring).  rows and columns give
+    the keys of each index.  A Hermitian matrix computes j >= i and
+    conjugates below the diagonal, where a real entry shares its object."""
+    a = ExactMatrix.zeros(len(rows), len(columns))
+    holders: defaultdict[object, list[int]] = defaultdict(list)
+    for j, keys in enumerate(columns):
+        for key in keys:
+            holders[key].append(j)
+    for i, keys in enumerate(rows):
+        shared = {j for key in keys for j in holders.get(key, ())}
+        for j in shared:
+            if hermitian and j < i:
+                continue
+            value = a.data[i][j] = entry(i, j)
+            if hermitian and i != j:
+                a.data[j][i] = value if value.is_real else value.conjugate()
     return a
 
 
-class SelfcommAssembly:
-    """Self-commutator form matrices of one symbol at any truncation order,
-    and their ranks, both from the factor columns.
+class _FactoredForm:
+    """The matrix R^H G C of a column factor C and a row factor R at any
+    truncation order, and its rank from the two factors' echelons.  The
+    matrix is Hermitian exactly when the two are one factor."""
 
-    Factor columns and entries are kept by exponent pair, and one selection
-    of independent columns grows with the order, so a run over orders 1..N
-    computes each of them once.
+    def __init__(self, columns: _HarmonicFactor, rows: _HarmonicFactor):
+        self._columns = columns
+        self._rows = rows
+
+    def factors(self, order: int) -> tuple[list[Column], list[Column]]:
+        """The columns C_j and the rows R_i in basis order, keyed as in the
+        module docstring."""
+        pairs = exponent_pairs(_order(order))
+        return self._columns.columns(pairs), self._rows.columns(pairs)
+
+    def matrix(self, order: int) -> ExactMatrix:
+        """The matrix with entries <C_j, R_i>_G (_kernel.factor_form)."""
+        columns, rows = self.factors(order)
+        return _fill(
+            rows,
+            columns,
+            lambda i, j: kernel.factor_form(rows[i], columns[j]),
+            hermitian=self._rows is self._columns,
+        )
+
+    def rank(self, order: int) -> int:
+        """Rank of the matrix at this order, from the factors' echelons alone
+        (module docstring)."""
+        order = _order(order)
+        chosen, column_keys = self._columns.selection(order)
+        row_chosen, row_keys = self._rows.selection(order)
+        return factored_rank(
+            self._columns.echelon,
+            len(chosen),
+            self._rows.echelon,
+            len(row_chosen),
+            list(dict.fromkeys(row_keys + column_keys)),
+            _inverse_weight,
+        )
+
+
+class SelfcommAssembly(_FactoredForm):
+    """Self-commutator form matrices of one symbol at any truncation order,
+    and their ranks, from the factor M taken as both C and R.
+
+    One selection of independent columns grows with the order, so a run
+    over orders 1..N computes each factor column once.
     """
 
     def __init__(self, phi: Element):
-        self._shifts = _differences(_frequencies(phi))
-        self._entries: dict[tuple[Pair, Pair], GaussianRational] = {}
         # M_j = (Q(conj(phi) e_j), Q(phi e_j)), the factor of the form
         q = _Projection(phi)
-        self._factor = _HarmonicFactor(q.mirror, q)
+        factor = _HarmonicFactor(q.mirror, q)
+        super().__init__(factor, factor)
         # how many chosen columns have a zero Gram <M_t, M_s>_G among them
         self._checked = 0
-
-    def matrix(self, order: int) -> ExactMatrix:
-        """See selfcomm_form_matrix."""
-        pairs = exponent_pairs(_order(order))
-        columns = self._factor.columns(pairs)
-        return _fill(
-            pairs,
-            self._shifts,
-            self._entries,
-            lambda i, j: kernel.factor_form(columns[i], columns[j]),
-            hermitian=True,
-        )
-
-    def factor(self, order: int) -> list[Column]:
-        """The factor columns M_j = (Q(conj(phi) e_j), Q(phi e_j)) in basis
-        order, keyed as in the module docstring."""
-        return self._factor.columns(exponent_pairs(_order(order)))
 
     def vanishes(self, order: int) -> bool:
         """Whether the form matrix is zero at this order, from the Gram of the
@@ -430,10 +422,10 @@ class SelfcommAssembly:
         with the order, so each order checks its new columns against the
         ones before them, and the checked prefix advances when a whole order
         passes."""
-        chosen, _ = self._factor.selection(_order(order))
+        chosen, _ = self._columns.selection(_order(order))
         if len(chosen) <= self._checked:
             return True
-        columns = self._factor.columns(chosen)
+        columns = self._columns.columns(chosen)
         for s in range(self._checked, len(chosen)):
             column = columns[s]
             for t in range(s + 1):
@@ -441,15 +433,6 @@ class SelfcommAssembly:
                     return False
         self._checked = len(chosen)
         return True
-
-    def rank(self, order: int) -> int:
-        """Rank of the form matrix at this order, from the factor's echelon
-        alone (module docstring)."""
-        chosen, keys = self._factor.selection(_order(order))
-        echelon = self._factor.echelon
-        return factored_rank(
-            echelon, len(chosen), echelon, len(chosen), keys, _inverse_weight
-        )
 
 
 def selfcomm_form_matrix(phi: Element, order: int) -> ExactMatrix:
@@ -461,27 +444,21 @@ def selfcomm_form_matrix(phi: Element, order: int) -> ExactMatrix:
     return SelfcommAssembly(phi).matrix(order)
 
 
-class CommutatorAssembly:
+class CommutatorAssembly(_FactoredForm):
     """Commutator pairing and range Gram of a symbol pair at any truncation
-    order, and their ranks from the factors, with the factor columns, the
-    images w_j = (S_phi S_psi - S_psi S_phi) e_j and the entries kept by
-    exponent pair across orders."""
+    order, and their ranks, from the columns C and the rows R (module
+    docstring)."""
 
     def __init__(self, phi: Element, psi: Element):
         self._phi = phi._terms
         self._psi = psi._terms
-        # W = F(phi) + F(psi): the frequency shifts of the commutator
-        self._shifts = {a + b for a in _frequencies(phi) for b in _frequencies(psi)}
-        self._gram_shifts = _differences(self._shifts)
-        self._w: dict[Pair, Element] = {}
-        self._pairing: dict[tuple[Pair, Pair], GaussianRational] = {}
-        self._gram: dict[tuple[Pair, Pair], GaussianRational] = {}
         # B = R^H G C with C_j = (Q(phi e_j), Q(psi e_j)) and
         # R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i))
         self._q_phi = q_phi = _Projection(phi)
         self._q_psi = q_psi = _Projection(psi)
-        self._columns = _HarmonicFactor(q_phi, q_psi)
-        self._rows = _HarmonicFactor(q_psi.mirror, q_phi.mirror)
+        super().__init__(
+            _HarmonicFactor(q_phi, q_psi), _HarmonicFactor(q_psi.mirror, q_phi.mirror)
+        )
         # the images of the chosen columns, in the order they were chosen,
         # and the pivots their first t make, at index t
         self._span = Echelon()
@@ -489,72 +466,40 @@ class CommutatorAssembly:
 
     def _images(self, pairs: Sequence[Pair]) -> list[Element]:
         """The images w_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)) of the
-        exponent pairs, from the halves (module docstring), each formed
-        once."""
-        memo = self._w
+        exponent pairs, from the halves (module docstring)."""
         out = []
         for pair in pairs:
-            w = memo.get(pair)
-            if w is None:
-                h_phi = _harmonic_terms(self._q_phi(*pair))
-                h_psi = _harmonic_terms(self._q_psi(*pair))
-                terms = kernel.terms_apply(self._psi, h_phi)
-                kernel.terms_sub_scaled(
-                    terms, kernel.terms_apply(self._phi, h_psi), kernel.GR_ONE
-                )
-                w = memo[pair] = Element._wrap(terms)
-            out.append(w)
+            h_phi = _harmonic_terms(self._q_phi(*pair))
+            h_psi = _harmonic_terms(self._q_psi(*pair))
+            terms = kernel.terms_apply(self._psi, h_phi)
+            kernel.terms_sub_scaled(
+                terms, kernel.terms_apply(self._phi, h_psi), kernel.GR_ONE
+            )
+            out.append(Element._wrap(terms))
         return out
 
-    def pairing(self, order: int) -> ExactMatrix:
-        """See commutator_matrix."""
-        pairs = exponent_pairs(_order(order))
-        columns = self._columns.columns(pairs)
-        rows = self._rows.columns(pairs)
-        return _fill(
-            pairs,
-            self._shifts,
-            self._pairing,
-            lambda i, j: kernel.factor_form(rows[i], columns[j]),
-            hermitian=False,
-        )
+    # see commutator_matrix
+    pairing = _FactoredForm.matrix
 
     def range_gram(self, order: int) -> ExactMatrix:
         """See commutator_range_gram."""
-        pairs = exponent_pairs(_order(order))
-        w = self._images(pairs)
+        w = self._images(exponent_pairs(_order(order)))
+        frequencies = [{n - m for n, m in image._terms} for image in w]
         return _fill(
-            pairs,
-            self._gram_shifts,
-            self._gram,
+            frequencies,
+            frequencies,
             lambda i, j: inner_product(w[j], w[i]),
             hermitian=True,
         )
 
-    def factors(self, order: int) -> tuple[list[Column], list[Column]]:
-        """The column factors C_j = (Q(phi e_j), Q(psi e_j)) and the row
-        factors R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i)) in basis order,
-        keyed as in the module docstring."""
-        pairs = exponent_pairs(_order(order))
-        return self._columns.columns(pairs), self._rows.columns(pairs)
-
     def ranks(self, order: int) -> tuple[int, int]:
-        """Ranks of the pairing and the range Gram at this order: factored_rank
-        of R^H G C, and the dimension of the span of the images w_j over a
-        maximal independent set S of the columns C_j.  S at order N - 1 is a
-        prefix of S at order N, so one span echelon grows along S and each
-        image is reduced once over a run of orders."""
-        order = _order(order)
-        chosen, column_keys = self._columns.selection(order)
-        row_chosen, row_keys = self._rows.selection(order)
-        pairing_rank = factored_rank(
-            self._columns.echelon,
-            len(chosen),
-            self._rows.echelon,
-            len(row_chosen),
-            list(dict.fromkeys(row_keys + column_keys)),
-            _inverse_weight,
-        )
+        """Ranks of the pairing and the range Gram at this order: the core's
+        rank, and the dimension of the span of the images w_j over a maximal
+        independent set S of the columns C_j.  S at order N - 1 is a prefix
+        of S at order N, so one span echelon grows along S and each image is
+        reduced once over a run of orders."""
+        pairing_rank = self.rank(order)
+        chosen, _ = self._columns.selection(order)
         sizes = self._span_sizes
         if len(sizes) <= len(chosen):
             for w in self._images(chosen[len(sizes) - 1 :]):

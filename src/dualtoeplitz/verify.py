@@ -401,7 +401,7 @@ def _suite_commutator(n_max: int | None = None) -> SuiteReport:
     report = SuiteReport("commutator-parity")
     swaps = {N: swap_permutation(exponent_pairs(N)) for N in orders}
     for phi_text, psi_text, expected_ranks in COMMUTATOR_GRID:
-        # one assembly per pair keeps its entries and images across orders
+        # one assembly per pair keeps its factor columns across orders
         pair = CommutatorAssembly(parse_symbol(phi_text), parse_symbol(psi_text))
         for N, expected in zip(COMMUTATOR_ORDERS, expected_ranks):
             if N not in orders:

@@ -308,9 +308,15 @@ symbols = st.builds(
 orders = st.integers(min_value=1, max_value=5)
 
 
+# the dense-elim top symbol
+WIDE_TOP = "(-12/13+5/13i) zb^2 + (3/5-4/5i) z + (15/17+8/17i) z^3 zb"
+
+
 class TestGradedAssembly:
-    """The builders skip the entries the frequency rule proves zero; every
-    entry must still equal the one computed over all index pairs."""
+    """The builders compute an entry only where its row and column share a
+    key: a factor key for both forms, a frequency of the images' terms for
+    the range Gram.  Every entry must still equal the one computed over all
+    index pairs."""
 
     @staticmethod
     def _check(phi, psi, order):
@@ -338,6 +344,10 @@ class TestGradedAssembly:
 
     @HYP
     @given(symbols, symbols, orders)
+    # the key rule skips entries of all three matrices that a rule on the
+    # symbols' frequency sets would compute
+    @example(parse_symbol(WIDE_TOP), parse_symbol("z^2 zb + z^3"), 3)
+    @example(parse_symbol("z^2 zb + z^3"), parse_symbol("zb^2 + z"), 3)
     def test_matches_all_pairs(self, phi, psi, order):
         self._check(phi, psi, order)
 
@@ -692,9 +702,6 @@ def _independent_and_maximal(columns):
     assert bruteforce_rank(_dense(columns)) == len(chosen)
 
 
-WIDE_TOP = "(-12/13+5/13i) zb^2 + (3/5-4/5i) z + (15/17+8/17i) z^3 zb"
-
-
 class TestHarmonicCore:
     """Ranks through the factors Q(phi e_j): the factor identities against
     the image assembly, the column selection against the brute-force oracle,
@@ -707,7 +714,7 @@ class TestHarmonicCore:
         bar = adjoint_symbol(phi)
         forms = SelfcommAssembly(phi)
         a = forms.matrix(order)
-        halves = [_halves(column) for column in forms.factor(order)]
+        halves = [_halves(column) for column in forms.factors(order)[0]]
         for (q_bar, q), e in zip(halves, basis.vectors):
             assert q_bar == harmonic_project(bar * e)
             assert q == harmonic_project(phi * e)
@@ -746,7 +753,7 @@ class TestHarmonicCore:
     @HYP
     @given(symbols, symbols, orders)
     def test_selection_is_independent_and_maximal(self, phi, psi, order):
-        _independent_and_maximal(SelfcommAssembly(phi).factor(order))
+        _independent_and_maximal(SelfcommAssembly(phi).factors(order)[0])
         for factor in CommutatorAssembly(phi, psi).factors(order):
             _independent_and_maximal(factor)
 
@@ -888,6 +895,22 @@ class TestFactorForm:
                 assert _triple(b[i, j]) == _triple(inner_product(w[j], e))
 
     @HYP
+    @given(factor_symbols, st.integers(min_value=1, max_value=4))
+    @example(parse_symbol("z^2 zb + z^3 + 1"), 4)
+    @example(parse_symbol(WIDE_TOP), 4)
+    @example(parse_symbol("(3/5-4/5i) z^2 zb + 2 zb + (1-2i)"), 3)
+    def test_form_is_minus_the_pairing_with_the_conjugate(self, phi, order):
+        # S_phi* = S_conj(phi), so A(phi) = -B(phi, conj(phi)), entry for
+        # entry and in rank
+        forms = SelfcommAssembly(phi)
+        pair = CommutatorAssembly(phi, phi.conjugate())
+        a, b = forms.matrix(order), pair.pairing(order)
+        for i in range(a.rows):
+            for j in range(a.cols):
+                assert _triple(a[i, j]) == _triple(-b[i, j])
+        assert forms.rank(order) == pair.ranks(order)[0]
+
+    @HYP
     @given(factor_symbols, orders)
     @example(parse_symbol("0"), 3)
     @example(parse_symbol("(5/2-3i)"), 3)
@@ -902,7 +925,7 @@ class TestFactorForm:
     @HYP
     @given(factor_symbols, orders)
     def test_complement_is_the_orthogonal_complement(self, phi, order):
-        columns = SelfcommAssembly(phi).factor(order)
+        columns = SelfcommAssembly(phi).factors(order)[0]
         echelon = Echelon()
         chosen = [column for column in columns if echelon.add(column)]
         keys = sorted({key for column in columns for key in column})
@@ -923,7 +946,7 @@ class TestFactorForm:
     def test_normal_symbol_has_a_wide_complement(self):
         # A = 0, so V lies in G^-1 V^perp and K - |S| is about K/2
         phi = parse_symbol("(3/5+4/5i) z^2 zb + (3/5-4/5i) z zb^2 + 1")
-        columns = SelfcommAssembly(phi).factor(6)
+        columns = SelfcommAssembly(phi).factors(6)[0]
         keys = {key for column in columns for key in column}
         chosen = _greedy(columns)
         assert SelfcommAssembly(phi).rank(6) == 0
@@ -935,7 +958,8 @@ class TestFactorForm:
         forms = SelfcommAssembly(phi)
         pair = CommutatorAssembly(phi, psi)
         for order in sequence:
-            assert forms.rank(order) == _fresh_rank(SelfcommAssembly(phi).factor(order))
+            columns = SelfcommAssembly(phi).factors(order)[0]
+            assert forms.rank(order) == _fresh_rank(columns)
             fresh = CommutatorAssembly(phi, psi)
             b, gram = fresh.pairing(order), fresh.range_gram(order)
             assert pair.ranks(order) == (rank(b), rank(gram))
@@ -957,7 +981,7 @@ class TestClosedFormColumns:
     def test_columns_match_projections(self, phi):
         bar = adjoint_symbol(phi)
         pairs = [(n, m) for n in range(1, 9) for m in range(1, 9)]
-        columns = SelfcommAssembly(phi).factor(8)
+        columns = SelfcommAssembly(phi).factors(8)[0]
         assert len(columns) == len(pairs)
         for (n, m), column in zip(pairs, columns):
             e = complement_project(Element.monomial(n, m))
