@@ -341,10 +341,13 @@ def factor_form(f: dict, g: dict) -> GaussianRational:
     f and g are harmonic factor columns {key: coefficient}: the key 2d holds
     a coefficient of h_d in the first half (sign +), 2d + 1 in the second
     (sign -), and <h_d, h_d> = 1/(|d|+1), d = k >> 1.  The products are
-    summed as int numerators grouped by denominator and normalized once, as
-    in terms_inner, so the result is the same normalized triple.
+    summed as one running fraction of ints, equal denominators added and
+    others cross-multiplied as in _accumulate, and normalized once; the
+    normalized triple is unique, so the result is the same as summing
+    scalars.
     """
-    groups: dict = {}
+    re = im = 0
+    den = 1
     for key, cf in f.items():
         cg = g.get(key)
         if cg is None:
@@ -355,19 +358,14 @@ def factor_form(f: dict, g: dict) -> GaussianRational:
         y = a * e - b * c
         if key & 1:
             x, y = -x, -y
-        den = cf._d * cg._d * (abs(key >> 1) + 1)
-        acc = groups.get(den)
-        if acc is None:
-            groups[den] = [x, y]
+        d = cf._d * cg._d * (abs(key >> 1) + 1)
+        if d == den:
+            re += x
+            im += y
         else:
-            acc[0] += x
-            acc[1] += y
-    den = lcm(*groups)
-    re = im = 0
-    for key, (x, y) in groups.items():
-        scale = den // key
-        re += x * scale
-        im += y * scale
+            re = re * d + x * den
+            im = im * d + y * den
+            den *= d
     if re == 0 and im == 0:
         return GR_ZERO
     return _norm(re, im, den)

@@ -15,15 +15,17 @@ Reports are JSON documents with top-level keys {"command", "inputs",
 canonical rational strings so identical invocations produce byte-identical
 output.  Timing goes to stderr only.  Exit codes: 0 success / all checks
 passed, 1 verification failure, 2 usage or parse error, or an ``--out``
-file that cannot be written.
+file or stdout that cannot be written.
 
 A ``matrix`` report holds N^4 entries and N^2 exponent pairs, so those two
 arrays bypass the indenting encoder (with ``indent`` set, ``json`` falls back
 to its pure-Python encoder).  The document is dumped with a stand-in string
 in place of each array, and the array's rows, joined as text in the layout
-``json.dumps(..., indent=2)`` gives it, replace the stand-in.  The assembled
-matrix shares its entry objects, so each distinct object is formatted once
-and its text found again by identity; the CSV dump takes the same rows.
+``json.dumps(..., indent=2)`` gives it, replace the stand-in.  The matrix
+stores its nonzero entries only, so each row starts as N^2 copies of the
+zero's text and takes the text of its stored entries; the assembled matrix
+shares its real mirror entries, so each distinct object is formatted once
+and its text found again by identity.  The CSV dump takes the same rows.
 ``json`` itself loads only when a JSON report is written.
 
 The parser needs only the package's constants, so the arguments are parsed
@@ -63,15 +65,26 @@ def _element_payload(e) -> dict:
 
 
 def _entry_rows(a, encode) -> list[list[str]]:
-    """The matrix's rows as text, encode(format_scalar(c)) per entry.  The
-    assembled matrices share their entry objects (one zero, the real mirror
+    """The matrix's rows as text, encode(format_scalar(c)) per entry.  Each
+    row starts as the zero's text and takes the text of its stored entries.
+    The assembled matrices share their entry objects (the real mirror
     entries below the diagonal), so each distinct object is formatted once
     and found again by its identity."""
+    from ._kernel import GR_ZERO
     from .symbols import format_scalar
 
-    distinct = {id(c): c for row in a.data for c in row}
-    text = {key: encode(format_scalar(c)) for key, c in distinct.items()}
-    return [list(map(text.__getitem__, map(id, row))) for row in a.data]
+    zero = encode(format_scalar(GR_ZERO))
+    text: dict[int, str] = {}
+    out = []
+    for row in a.entries:
+        line = [zero] * a.cols
+        for j, c in row.items():
+            t = text.get(id(c))
+            if t is None:
+                t = text[id(c)] = encode(format_scalar(c))
+            line[j] = t
+        out.append(line)
+    return out
 
 
 def _certificate_payload(cert) -> dict | None:
@@ -387,7 +400,12 @@ def main(argv=None) -> int:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            return 2
     print(f"timing: {args.command} took {elapsed:.3f}s", file=sys.stderr)
     return code
 

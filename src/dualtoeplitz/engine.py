@@ -46,7 +46,9 @@ of the basis of order N, and neither a factor column nor a half depends on
 N.  The assemblies keep them by exponent pair, and the selection of
 independent columns grows with the order, so a run over orders 1..N (the
 certificate search, the rank table) computes each once.  Entries and images
-are formed for the matrix of one order.
+are formed for the matrix of one order, and the matrix stores the nonzero
+entries alone: a computed entry that cancels to an exact zero is dropped,
+so its checks, rank and report visit only what is stored.
 
 The rank needs no entries at all.  With V_C = range C and V_R = range R,
 
@@ -341,22 +343,27 @@ def _fill(
 ) -> ExactMatrix:
     """The matrix with entry(i, j) where row i and column j share a key, and
     an exact zero everywhere else (module docstring).  rows and columns give
-    the keys of each index.  A Hermitian matrix computes j >= i and
+    the keys of each index.  Only nonzero values are stored, so a value
+    that cancels to zero is dropped.  A Hermitian matrix computes j >= i and
     conjugates below the diagonal, where a real entry shares its object."""
-    a = ExactMatrix.zeros(len(rows), len(columns))
+    entries: list[dict[int, GaussianRational]] = [{} for _ in rows]
     holders: defaultdict[object, list[int]] = defaultdict(list)
     for j, keys in enumerate(columns):
         for key in keys:
             holders[key].append(j)
     for i, keys in enumerate(rows):
         shared = {j for key in keys for j in holders.get(key, ())}
+        row = entries[i]
         for j in shared:
             if hermitian and j < i:
                 continue
-            value = a.data[i][j] = entry(i, j)
+            value = entry(i, j)
+            if value.is_zero:
+                continue
+            row[j] = value
             if hermitian and i != j:
-                a.data[j][i] = value if value.is_real else value.conjugate()
-    return a
+                entries[j][i] = value if value.is_real else value.conjugate()
+    return ExactMatrix.sparse(len(rows), len(columns), entries)
 
 
 class _FactoredForm:

@@ -70,17 +70,15 @@ class PsdResult(NamedTuple):
 def form_value(matrix: ExactMatrix, vec: list[GaussianRational]) -> GaussianRational:
     """c* A c with the conjugation on the row index."""
     total = _ZERO
-    for i in range(matrix.rows):
+    for i, row in enumerate(matrix.entries):
         ci = vec[i]
-        if ci.is_zero:
+        if ci.is_zero or not row:
             continue
-        row = matrix.data[i]
         acc = _ZERO
-        for j in range(matrix.cols):
+        for j, c in row.items():
             cj = vec[j]
-            if cj.is_zero:
-                continue
-            acc = acc + row[j] * cj
+            if not cj.is_zero:
+                acc = acc + c * cj
         total = total + ci.conjugate() * acc
     return total
 
@@ -106,8 +104,10 @@ def psd_test(form: HermitianForm | ExactMatrix) -> PsdResult:
     n = h.rows
     trace = _ZERO
     negative = None
-    for k in range(n):
-        d = h.data[k][k]
+    for k, row in enumerate(h.entries):
+        d = row.get(k)
+        if d is None:
+            continue
         trace = trace + d
         if negative is None and d.real_sign() < 0:
             negative = k
@@ -123,7 +123,7 @@ def psd_test(form: HermitianForm | ExactMatrix) -> PsdResult:
             return PsdResult(is_psd=True, rank=0)
         i, j = location
         witness[i] = _ONE
-        witness[j] = -h.data[i][j].inverse()
+        witness[j] = -h.entries[i][j].inverse()
     value = form_value(h, witness)
     if not value.is_real or value.real_sign() >= 0:
         raise RuntimeError("witness reconstruction failed; this is a bug")
@@ -233,8 +233,8 @@ def rank(m: ExactMatrix) -> int:
     """Exact rank: the number of pivots that m's columns make in one
     Echelon, each column keyed by its row indices."""
     echelon = Echelon()
-    for j in range(m.cols):
-        echelon.add({i: row[j] for i, row in enumerate(m.data)})
+    for column in m.transpose().entries:
+        echelon.add(column)
     return len(echelon.pivots)
 
 
@@ -242,8 +242,10 @@ def is_antisymmetric(m: ExactMatrix) -> bool:
     """Exact check of M^T == -M (implies even rank over any field)."""
     if m.rows != m.cols:
         return False
-    for i in range(m.rows):
-        for j in range(i, m.rows):
-            if m.data[i][j] != -m.data[j][i]:
+    entries = m.entries
+    for i, row in enumerate(entries):
+        for j, c in row.items():
+            mirror = entries[j].get(i)
+            if mirror is None or c != -mirror:
                 return False
     return True

@@ -19,6 +19,7 @@ from dualtoeplitz import (
 )
 
 from dualtoeplitz import _kernel as kernel
+import oracle_dense as dense
 from oracle_quadrature import inner_product_quadrature
 
 rationals = st.fractions(
@@ -370,6 +371,39 @@ class TestTermsInner:
         f = {(2, 0): GaussianRational(5), (3, 1): GaussianRational(0, 1)}
         g = {(0, 1): GaussianRational(7), (1, 1): GaussianRational(1, 1)}
         assert kernel.terms_inner(f, g).is_zero
+
+
+factor_columns = st.dictionaries(
+    st.integers(-9, 9), wide_scalars.filter(lambda c: not c.is_zero), max_size=6
+)
+
+
+class TestFactorForm:
+    """factor_form sums as one running fraction; the reference groups the
+    products by denominator and brings the groups to their lcm."""
+
+    @HYP
+    @given(factor_columns, factor_columns)
+    def test_matches_the_grouping_reference(self, f, g):
+        value = kernel.factor_form(f, g)
+        assert (value.num_re, value.num_im, value.den) == dense.factor_form(f, g)
+
+    @HYP
+    @given(factor_columns)
+    def test_self_form_is_real(self, f):
+        value = kernel.factor_form(f, f)
+        assert value.is_real
+        assert (value.num_re, value.num_im, value.den) == dense.factor_form(f, f)
+
+    def test_cancels_to_the_zero_triple(self):
+        one = GaussianRational(1)
+        # |1|^2/1 on key 0 minus |1|^2/1 on key 1, one denominator; then
+        # |1|^2/1 on key 0 minus |1+i|^2/2 on key 3, two denominators
+        for f in ({0: one, 1: one}, {0: one, 3: GaussianRational(1, 1)}):
+            value = kernel.factor_form(f, f)
+            assert (value.num_re, value.num_im, value.den) == (0, 0, 1)
+        # keys held by one side only meet nothing
+        assert kernel.factor_form({0: one}, {1: one}).is_zero
 
 
 class TestProjections:

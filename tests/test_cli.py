@@ -256,6 +256,11 @@ def _shared_matrices(draw):
     return ExactMatrix([[entry() for _ in range(size)] for _ in range(size)])
 
 
+def _strings(a) -> list[list[str]]:
+    """format_scalar of every entry, zeros included, row by row."""
+    return [[format_scalar(a[i, j]) for j in range(a.cols)] for i in range(a.rows)]
+
+
 def _reference_report(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -271,7 +276,7 @@ class TestMatrixReportWriter:
     @HYP
     @given(_shared_matrices())
     def test_rows_are_the_formatted_entries(self, a):
-        strings = [[format_scalar(c) for c in row] for row in a.data]
+        strings = _strings(a)
         # CSV takes the rows as they are, JSON takes them quoted
         assert cli._entry_rows(a, str) == strings
         assert cli._entry_rows(a, encode_basestring_ascii) == [
@@ -281,9 +286,9 @@ class TestMatrixReportWriter:
     @HYP
     @given(_shared_matrices())
     def test_spliced_document_is_the_indented_dump(self, a):
-        n = len(a.data)
+        n = a.rows
         pairs = [(i, i + 1) for i in range(n)]
-        strings = [[format_scalar(c) for c in row] for row in a.data]
+        strings = _strings(a)
         inputs = {"kind": "selfcomm", "symbol": "z^2 zb", "N": n}
         diagnostics = {"backend": BACKEND_NAME, "rank": 0}
         document = cli._matrix_json(inputs, diagnostics, n, pairs, a)
@@ -310,15 +315,14 @@ class TestMatrixReportWriter:
     def test_whole_report_is_the_indented_dump(self, terms, order):
         phi = Element(terms)
         text = format_element(phi)
-        argv = ["matrix", "selfcomm", "--symbol", text, "--N", str(order)]
+        # "=" keeps a text that starts with "-" from reading as a flag
+        argv = ["matrix", "selfcomm", f"--symbol={text}", "--N", str(order)]
         # capsys is per test, not per example, so the output is captured here
         code, out, err = self._run(argv)
         assert code == 0, err
         doc = json.loads(out)
         a = SelfcommAssembly(parse_symbol(text)).matrix(order)
-        assert doc["result"]["entries"] == [
-            [format_scalar(c) for c in row] for row in a.data
-        ]
+        assert doc["result"]["entries"] == _strings(a)
         assert out == _reference_report(doc)
         code, out, err = self._run(argv + ["--format", "csv"])
         assert code == 0, err
@@ -497,6 +501,17 @@ class TestOutputFile:
         assert err.startswith(f"error: cannot write {target}: ")
         assert not target.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_stdout_write_exits_2(self):
+        # every write to /dev/full fails with ENOSPC: an output error, like
+        # an --out file that cannot be written, and not a failed check
+        argv = ("matrix", "selfcomm", "--symbol", "z^2 zb", "--N", "12")
+        with open("/dev/full", "w") as full:
+            proc = fresh_python("-m", "dualtoeplitz.cli", *argv, stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestVersionAndScript:
     def test_version_key(self, capsys):
@@ -520,13 +535,17 @@ class TestVersionAndScript:
         assert "timing:" in proc.stderr
 
 
-def fresh_python(*argv):
+def fresh_python(*argv, stdout=subprocess.PIPE):
     """Run a fresh interpreter that finds this package first."""
     src = os.path.dirname(os.path.dirname(dualtoeplitz.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env
+        [sys.executable, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
     )
 
 

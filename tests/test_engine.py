@@ -41,7 +41,8 @@ from dualtoeplitz import (
 )
 from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
-from dualtoeplitz.engine import _HarmonicFactor, _Projection, exponent_pairs
+from dualtoeplitz import _kernel as kernel
+from dualtoeplitz.engine import _HarmonicFactor, _Projection, _fill, exponent_pairs
 from dualtoeplitz.linalg import Echelon, factored_rank
 
 from oracle_psd import charpoly_psd
@@ -968,6 +969,78 @@ class TestFactorForm:
         # 4N + 4 at N = 24 (rank 100 of 576), first found as the whole-matrix
         # rank of A[S, S], the form on the chosen columns
         assert SelfcommAssembly(parse_symbol(WIDE_TOP)).rank(24) == 100
+
+
+key_sets = st.lists(st.sets(st.integers(0, 3), max_size=2), min_size=1, max_size=5)
+maybe_zero = st.one_of(st.just(GaussianRational(0)), scalars)
+
+
+class TestSparseFill:
+    """_fill stores an entry only where it is nonzero: a row and a column
+    that share a key can still give an exact zero, which is dropped."""
+
+    def test_shared_key_with_zero_product_is_dropped(self):
+        one = GaussianRational(1)
+        # M_0 holds h_0 in both halves, so <M_0, M_0>_G = 1 - 1 = 0 over
+        # the shared keys 0 and 1
+        columns = [{0: one, 1: one}, {0: one}]
+        a = _fill(
+            columns,
+            columns,
+            lambda i, j: kernel.factor_form(columns[i], columns[j]),
+            hermitian=True,
+        )
+        assert a.entries == [{1: one}, {0: one, 1: one}]
+        # a real mirror entry is the same object
+        assert a.entries[1][0] is a.entries[0][1]
+
+    def test_normal_form_stores_nothing(self):
+        # every column's keys meet its own, yet the form cancels everywhere
+        phi = parse_symbol("(3/5+4/5i) z^2 zb + (3/5-4/5i) z zb^2")
+        forms = SelfcommAssembly(phi)
+        columns = forms.factors(4)[0]
+        assert all(columns)
+        a = forms.matrix(4)
+        assert a.is_zero and a.entries == [{} for _ in range(16)]
+
+    @HYP
+    @given(key_sets, st.data())
+    def test_matches_the_dense_rule(self, keys, data):
+        n = len(keys)
+        cols = data.draw(st.one_of(st.just(keys), key_sets))
+        hermitian = cols is keys and data.draw(st.booleans())
+        table = [[data.draw(maybe_zero) for _ in cols] for _ in keys]
+        if hermitian:
+            for i in range(n):
+                table[i][i] = GaussianRational(table[i][i].re)
+        a = _fill(keys, cols, lambda i, j: table[i][j], hermitian)
+        want = [
+            [table[i][j] if keys[i] & cols[j] else GaussianRational(0) for j in range(len(cols))]
+            for i in range(n)
+        ]
+        if hermitian:
+            for i in range(n):
+                for j in range(i):
+                    want[i][j] = want[j][i].conjugate()
+        assert a.data == want
+        assert not any(c.is_zero for row in a.entries for c in row.values())
+
+    @HYP
+    @given(factor_symbols, symbols, orders)
+    def test_assembled_matrices_store_no_zero(self, phi, psi, order):
+        pair = CommutatorAssembly(phi, psi)
+        forms = (
+            (SelfcommAssembly(phi).matrix(order), True),
+            (pair.pairing(order), False),
+            (pair.range_gram(order), True),
+        )
+        for a, hermitian in forms:
+            assert not any(c.is_zero for row in a.entries for c in row.values())
+            if hermitian:
+                assert a.is_hermitian()
+                for i, row in enumerate(a.entries):
+                    for j, c in row.items():
+                        assert (a.entries[j][i] is c) == (c.is_real or i == j)
 
 
 class TestClosedFormColumns:

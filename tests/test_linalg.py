@@ -22,6 +22,7 @@ from dualtoeplitz import (
 )
 from dualtoeplitz.linalg import Echelon, factored_rank
 
+import oracle_dense as dense
 from oracle_psd import charpoly_psd, sympy_matrix
 from oracle_rank import bruteforce_rank, matrix_to_pairs
 
@@ -69,13 +70,6 @@ class TestExactMatrix:
         assert a.rows == 2 and a.cols == 3
         assert a[1, 2] == 5
         assert a.transpose()[2, 1] == 5
-
-    def test_conjugate_transpose(self):
-        a = matrix([[(1, 2)], [(3, -4)]])
-        h = a.conjugate_transpose()
-        assert h.rows == 1 and h.cols == 2
-        assert h[0, 0] == GaussianRational(1, -2)
-        assert h[0, 1] == GaussianRational(3, 4)
 
     def test_is_hermitian(self):
         assert matrix([[1, (0, 1)], [(0, -1), 2]]).is_hermitian()
@@ -284,8 +278,8 @@ class TestRank:
     def test_rank_drops_with_duplicate_rows(self):
         rng = random.Random(4404)
         a = _random_matrix(rng, 3, 4)
-        rows = a.copy_data() + [list(a.copy_data()[0])]
-        b = ExactMatrix(rows)
+        rows = [[a[i, j] for j in range(a.cols)] for i in range(a.rows)]
+        b = ExactMatrix(rows + [list(rows[0])])
         assert rank(b) == rank(a)
 
 
@@ -597,3 +591,148 @@ class TestAntisymmetric:
 
     def test_complex_antisymmetric(self):
         assert is_antisymmetric(matrix([[0, (1, 2)], [(-1, -2), 0]]))
+
+
+# zeros as distinct objects, one made by cancellation: a sparse container
+# must drop every one of them, whatever object it is
+ZEROS = (GaussianRational(0), gr(0, 0), gr(3, 1) - gr(3, 1), gr(1) * gr(0))
+nonzero_entries = st.builds(gr, small, small).filter(lambda c: not c.is_zero)
+
+
+@st.composite
+def sparse_rows(draw, square=False, structure=None):
+    """Dense rows of a random sparsity, zeros given as varied objects.
+
+    With ``structure`` "hermitian" or "antisymmetric" the lower triangle
+    mirrors the upper one (a real mirror entry is the same object, as the
+    assembled forms share it), then one slot may be broken: its mirror
+    dropped to zero, so the pattern is asymmetric, or changed."""
+    n = draw(st.integers(0, 5))
+    m = n if square or n == 0 else draw(st.integers(0, 5))
+    density = draw(st.integers(0, 4))
+
+    def entry():
+        if draw(st.integers(0, 3)) < density:
+            return draw(nonzero_entries)
+        return draw(st.sampled_from(ZEROS))
+
+    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    if structure is None or n == 0:
+        return rows
+    for i in range(n):
+        for j in range(i, n):
+            c = rows[i][j]
+            if structure == "hermitian":
+                if i == j:
+                    c = rows[i][i] = gr(c.re)
+                rows[j][i] = c if c.is_real else c.conjugate()
+            else:
+                if i == j:
+                    c = rows[i][i] = draw(st.sampled_from(ZEROS))
+                rows[j][i] = -c
+    broken = draw(st.sampled_from(("none", "drop", "change")))
+    if broken != "none":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = (
+            draw(st.sampled_from(ZEROS)) if broken == "drop" else draw(nonzero_entries)
+        )
+    return rows
+
+
+def stored(a) -> list:
+    return [c for row in a.entries for c in row.values()]
+
+
+SPARSE = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+class TestSparseAgainstDense:
+    """ExactMatrix stores only nonzero entries; every operation must agree
+    with a dense reference that visits every slot (oracle_dense)."""
+
+    @SPARSE
+    @given(sparse_rows())
+    def test_stores_exactly_the_nonzero_entries(self, rows):
+        a = ExactMatrix(rows)
+        assert not any(c.is_zero for c in stored(a))
+        assert len(stored(a)) == sum(not c.is_zero for row in rows for c in row)
+        assert (a.rows, a.cols) == (len(rows), dense.width(rows))
+        assert all(a[i, j] == c for i, row in enumerate(rows) for j, c in enumerate(row))
+        assert a.data == rows
+        assert a.is_zero == (dense.first_nonzero(rows) is None)
+
+    @SPARSE
+    @given(st.one_of(sparse_rows(), sparse_rows(square=True, structure="hermitian")))
+    def test_is_hermitian(self, rows):
+        assert ExactMatrix(rows).is_hermitian() == dense.is_hermitian(rows)
+
+    @SPARSE
+    @given(st.one_of(sparse_rows(), sparse_rows(square=True, structure="antisymmetric")))
+    def test_is_antisymmetric(self, rows):
+        assert is_antisymmetric(ExactMatrix(rows)) == dense.is_antisymmetric(rows)
+
+    @SPARSE
+    @given(sparse_rows())
+    def test_first_nonzero(self, rows):
+        a = ExactMatrix(rows)
+        assert a.first_nonzero() == dense.first_nonzero(rows)
+        # the fill stores a row's entries in no particular column order
+        backwards = [dict(reversed(row.items())) for row in a.entries]
+        b = ExactMatrix.sparse(a.rows, a.cols, backwards)
+        assert b.first_nonzero() == dense.first_nonzero(rows)
+
+    @SPARSE
+    @given(sparse_rows(), st.data())
+    def test_permute_rows(self, rows, data):
+        perm = data.draw(st.permutations(range(len(rows))))
+        got = ExactMatrix(rows).permute_rows(perm)
+        assert got == ExactMatrix(dense.permute_rows(rows, perm))
+        assert got.data == dense.permute_rows(rows, perm)
+
+    @SPARSE
+    @given(sparse_rows())
+    def test_transpose(self, rows):
+        t = ExactMatrix(rows).transpose()
+        assert (t.rows, t.cols) == (dense.width(rows), len(rows))
+        assert t.data == dense.transpose(rows)
+        assert not any(c.is_zero for c in stored(t))
+
+    @SPARSE
+    @given(sparse_rows(square=True), st.data())
+    def test_form_value(self, rows, data):
+        vec = data.draw(
+            st.lists(st.one_of(st.sampled_from(ZEROS), nonzero_entries),
+                     min_size=len(rows), max_size=len(rows))
+        )
+        assert form_value(ExactMatrix(rows), vec) == dense.form_value(rows, vec)
+
+    @SPARSE
+    @given(sparse_rows())
+    def test_rank(self, rows):
+        pairs = [[(c.re, c.im) for c in row] for row in rows]
+        assert rank(ExactMatrix(rows)) == bruteforce_rank(pairs)
+
+    @SPARSE
+    @given(sparse_rows(), st.data())
+    def test_eq(self, rows, data):
+        other = [list(row) for row in rows]
+        edit = data.draw(
+            st.sampled_from(("same", "zero", "value", "fresh", "rows", "columns"))
+        )
+        if edit == "fresh":
+            other = data.draw(sparse_rows())
+        elif edit == "rows":
+            other = other[:-1]
+        elif edit == "columns":
+            other = [row[:-1] for row in other]
+        elif rows and rows[0]:
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, len(rows[0]) - 1))
+            # an equal value as another object, a zero, or any nonzero
+            other[i][j] = {
+                "same": rows[i][j] + 0,
+                "zero": data.draw(st.sampled_from(ZEROS)),
+                "value": data.draw(nonzero_entries),
+            }[edit]
+        want = (len(rows), dense.width(rows), rows) == (len(other), dense.width(other), other)
+        assert (ExactMatrix(rows) == ExactMatrix(other)) == want
