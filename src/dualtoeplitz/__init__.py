@@ -28,7 +28,7 @@ from types import ModuleType
 
 __version__ = "0.1.0"
 
-# the arithmetic backend; _kernel reports it as BACKEND
+# the arithmetic backend, which every report names
 BACKEND_NAME = "python"
 
 # the certificate search's default truncation order, here so that the

@@ -33,8 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import BACKEND_NAME as BACKEND
-
 
 class GaussianRational:
     """Complex number with rational real and imaginary parts, in lowest terms."""

@@ -35,17 +35,6 @@ class Monomial(NamedTuple):
     n: int
     m: int
 
-    @property
-    def degree(self) -> int:
-        return self.n + self.m
-
-    @property
-    def is_harmonic(self) -> bool:
-        return self.n == 0 or self.m == 0
-
-    def conjugate(self) -> "Monomial":
-        return Monomial(self.m, self.n)
-
 
 class Element:
     """Immutable monomial sum with Gaussian-rational coefficients."""
@@ -107,9 +96,6 @@ class Element:
         for key in sorted(self._terms):
             yield Monomial(*key), self._terms[key]
 
-    def support(self) -> list[Monomial]:
-        return [Monomial(*key) for key in sorted(self._terms)]
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -142,9 +128,6 @@ class Element:
 
     def constant_coefficient(self) -> GaussianRational:
         return self.coefficient(0, 0)
-
-    def max_exponent(self) -> int:
-        return max((max(n, m) for n, m in self._terms), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, Element):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import DEFAULT_ORDER_LIMIT
 from .algebra import Element, GaussianRational, as_scalar
-from .engine import SelfcommAssembly, build_basis, q_value
+from .engine import SelfcommAssembly, combination, exponent_pairs, q_value
 from .linalg import psd_test
 
 
@@ -73,18 +73,15 @@ def classify_monomial(a, n: int, m: int) -> Verdict:
 
 
 def classify_two_monomial(
-    a,
-    b,
-    first: tuple[int, int],
-    second: tuple[int, int],
-    order_limit: int = DEFAULT_ORDER_LIMIT,
+    a, b, first: tuple[int, int], second: tuple[int, int]
 ) -> Verdict:
     """Two-term symbol a z^n1 conj(z)^m1 + b z^n2 conj(z)^m2, distinct pairs.
 
     With all exponents positive the operator is normal exactly when the pair
     is radial with a real coefficient ratio, or each monomial is the
     conjugate of the other with |a| == |b|.  A zero exponent anywhere leaves
-    the proven territory and only numeric evidence is returned.
+    the proven territory: the verdict is OutsideProvenScope, with no
+    certificate (classify attaches the numeric evidence).
     """
     a = as_scalar(a)
     b = as_scalar(b)
@@ -98,11 +95,7 @@ def classify_two_monomial(
     if first == second:
         raise ValueError("monomials must be distinct (merge coefficients first)")
     if 0 in (n1, m1, n2, m2):
-        phi = Element([((n1, m1), a), ((n2, m2), b)])
-        verdict = Verdict(
-            VerdictStatus.OUTSIDE_PROVEN_SCOPE, "two-term-zero-exponent"
-        )
-        return verdict.with_certificate(numeric_certificate(phi, order_limit))
+        return Verdict(VerdictStatus.OUTSIDE_PROVEN_SCOPE, "two-term-zero-exponent")
     if n1 == m1 and n2 == m2:
         # distinct radial pair: commutator vanishes iff b/a is real
         if (b / a).is_real:
@@ -136,8 +129,8 @@ def classify_harmonic(phi: Element) -> Verdict:
     return Verdict(VerdictStatus.NOT_HYPONORMAL, "harmonic-pencil-free")
 
 
-def classify(phi: Element, order_limit: int = DEFAULT_ORDER_LIMIT) -> Verdict:
-    """Route a symbol to the sharpest proven rule, else to numeric evidence."""
+def _rule(phi: Element) -> Verdict:
+    """The sharpest proven rule for the symbol's shape, with no evidence."""
     terms = list(phi.terms())
     if not terms:
         return Verdict(VerdictStatus.NORMAL, "zero-symbol")
@@ -150,11 +143,20 @@ def classify(phi: Element, order_limit: int = DEFAULT_ORDER_LIMIT) -> Verdict:
         return classify_harmonic(phi)
     if len(terms) == 2:
         (p1, c1), (p2, c2) = terms
-        return classify_two_monomial(
-            c1, c2, (p1.n, p1.m), (p2.n, p2.m), order_limit
-        )
-    verdict = Verdict(VerdictStatus.OUTSIDE_PROVEN_SCOPE, "outside-proven-scope")
-    return verdict.with_certificate(numeric_certificate(phi, order_limit))
+        return classify_two_monomial(c1, c2, (p1.n, p1.m), (p2.n, p2.m))
+    return Verdict(VerdictStatus.OUTSIDE_PROVEN_SCOPE, "outside-proven-scope")
+
+
+def classify(phi: Element, order_limit: int = DEFAULT_ORDER_LIMIT) -> Verdict:
+    """Route a symbol to the sharpest proven rule.  The rules search
+    nothing: a proven verdict comes back bare, and an OutsideProvenScope
+    verdict (a zero exponent in a two-term symbol, three or more
+    non-harmonic terms) takes the numeric evidence of numeric_certificate
+    through order_limit."""
+    verdict = _rule(phi)
+    if verdict.status is VerdictStatus.OUTSIDE_PROVEN_SCOPE:
+        return verdict.with_certificate(numeric_certificate(phi, order_limit))
+    return verdict
 
 
 def numeric_certificate(
@@ -164,11 +166,13 @@ def numeric_certificate(
     form matrix.  Each order is screened by SelfcommAssembly.vanishes: the
     form is zero exactly when the Gram of a maximal independent set of its
     factor columns is, and that set grows with the order, so each order
-    checks only its newly chosen columns, with no basis and no entry of the
-    matrix.  Only the first order that does not vanish has its basis and
-    matrix built.  That form has trace zero, hence is indefinite, and
-    psd_test reads a witness with exact negative value off its entries,
-    which q_value re-verifies.  An all-zero run returns the order reached.
+    checks only its newly chosen columns, with no entry of the matrix.
+    Only the first order that does not vanish has its matrix built.  That
+    form has trace zero, hence is indefinite, and psd_test reads a witness
+    with exact negative value off its entries, which q_value re-verifies.
+    The witness sum c_k e_{pairs[k]} is the complement projection of the
+    one monomial sum c_k z^n_k conj(z)^m_k (engine.combination), so no
+    basis is built at any order.  An all-zero run returns the order reached.
     """
     if order_limit < 1:
         raise ValueError("order limit must be >= 1")
@@ -176,7 +180,6 @@ def numeric_certificate(
     for order in range(1, order_limit + 1):
         if forms.vanishes(order):
             continue
-        basis = build_basis(order)
         a = forms.matrix(order)
         location = a.first_nonzero()
         if location is None:
@@ -185,7 +188,8 @@ def numeric_certificate(
                 "matrix; this is a bug"
             )
         result = psd_test(a)
-        witness = basis.combine(result.witness)
+        pairs = exponent_pairs(order)
+        witness = combination(pairs, result.witness)
         check = q_value(phi, witness)
         if check != result.value or check >= 0:
             raise RuntimeError("witness failed engine re-verification; this is a bug")
@@ -193,7 +197,7 @@ def numeric_certificate(
         return NotNormalCertificate(
             order=order,
             entry=location,
-            entry_pairs=(basis.pairs[i], basis.pairs[j]),
+            entry_pairs=(pairs[i], pairs[j]),
             witness=witness,
             value=check,
         )
@@ -203,21 +207,20 @@ def numeric_certificate(
 def classify_with_certificate(
     phi: Element, order_limit: int = DEFAULT_ORDER_LIMIT
 ) -> Verdict:
-    """classify(), then attach numeric evidence matching the verdict.
+    """The rule's verdict with the numeric evidence of numeric_certificate
+    through order_limit, whatever the verdict.
 
     Normal verdicts get the zero-matrix order actually checked; NotHyponormal
-    verdicts get a certified witness.  Disagreement between the symbolic rule
-    and the numeric search is a bug and raises.
+    verdicts get a certified witness.  A Normal verdict with a nonzero form
+    is a bug and raises.  A NotHyponormal verdict can still come back with a
+    zero-matrix certificate when the limit is too small for its form to show.
     """
-    verdict = classify(phi, order_limit)
-    if verdict.certificate is not None:
-        return verdict
+    verdict = _rule(phi)
     certificate = numeric_certificate(phi, order_limit)
-    if verdict.status is VerdictStatus.NORMAL:
-        if not isinstance(certificate, ZeroMatrixCertificate):
-            raise RuntimeError(
-                "symbolically normal symbol has a nonzero form matrix; this is a bug"
-            )
-    # matrices can stay zero through the limit even for a proven non-normal
-    # symbol if the limit is tiny; surface that honestly
+    if verdict.status is VerdictStatus.NORMAL and not isinstance(
+        certificate, ZeroMatrixCertificate
+    ):
+        raise RuntimeError(
+            "symbolically normal symbol has a nonzero form matrix; this is a bug"
+        )
     return verdict.with_certificate(certificate)

@@ -107,14 +107,17 @@ def _certificate_payload(cert) -> dict | None:
     raise TypeError(f"unknown certificate type {type(cert)!r}")
 
 
-def _document(command: str, inputs: dict, result: dict, diagnostics: dict) -> str:
+def _document(
+    command: str, inputs: dict, result: dict, diagnostics: dict | None = None
+) -> str:
+    """The report; its diagnostics always name the backend."""
     import json
 
     doc = {
         "command": command,
         "inputs": inputs,
         "result": result,
-        "diagnostics": diagnostics,
+        "diagnostics": {"backend": BACKEND_NAME, **(diagnostics or {})},
         "version": __version__,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -153,7 +156,7 @@ def _cmd_classify(args) -> tuple[str, int]:
         "certificate": _certificate_payload(verdict.certificate),
     }
     inputs = {"symbol": args.symbol, "N_max": args.n_max}
-    diagnostics = {"backend": BACKEND_NAME, "canonical": format_element(phi)}
+    diagnostics = {"canonical": format_element(phi)}
     return _document("classify", inputs, result, diagnostics), 0
 
 
@@ -191,7 +194,6 @@ def _cmd_matrix(args) -> tuple[str, int]:
         forms = SelfcommAssembly(phi)
         a = forms.matrix(args.N)
         diagnostics = {
-            "backend": BACKEND_NAME,
             "hermitian": True,
             "psd": _psd_payload(a),
             "rank": forms.rank(args.N),
@@ -204,7 +206,6 @@ def _cmd_matrix(args) -> tuple[str, int]:
         a = pair.pairing(args.N)
         r, gram_rank = pair.ranks(args.N)
         diagnostics = {
-            "backend": BACKEND_NAME,
             "swap_antisymmetric": is_antisymmetric(
                 a.permute_rows(swap_permutation(pairs))
             ),
@@ -266,9 +267,7 @@ def _cmd_rank(args) -> tuple[str, int]:
             "symbol2": args.symbol2,
             "N_max": args.n_max,
         }
-    result = {"table": table}
-    diagnostics = {"backend": BACKEND_NAME}
-    return _document("rank", inputs, result, diagnostics), 0
+    return _document("rank", inputs, {"table": table}), 0
 
 
 def run_suites(suite: str, n_max: int | None) -> list:
@@ -304,9 +303,8 @@ def _cmd_verify(args) -> tuple[str, int]:
         "passed": all(rep.passed for rep in reports),
     }
     inputs = {"suite": args.suite, "N_max": args.n_max}
-    diagnostics = {"backend": BACKEND_NAME}
     code = 0 if result["passed"] else 1
-    return _document("verify", inputs, result, diagnostics), code
+    return _document("verify", inputs, result), code
 
 
 def _cmd_apply(args) -> tuple[str, int]:
@@ -317,8 +315,7 @@ def _cmd_apply(args) -> tuple[str, int]:
     f = parse_symbol(args.symbol2)
     result = {"element": _element_payload(apply(phi, f))}
     inputs = {"symbol": args.symbol, "symbol2": args.symbol2}
-    diagnostics = {"backend": BACKEND_NAME}
-    return _document("apply", inputs, result, diagnostics), 0
+    return _document("apply", inputs, result), 0
 
 
 def _cmd_inner_product(args) -> tuple[str, int]:
@@ -329,8 +326,7 @@ def _cmd_inner_product(args) -> tuple[str, int]:
     g = parse_symbol(args.symbol2)
     result = {"value": format_scalar(inner_product(f, g))}
     inputs = {"symbol": args.symbol, "symbol2": args.symbol2}
-    diagnostics = {"backend": BACKEND_NAME}
-    return _document("inner-product", inputs, result, diagnostics), 0
+    return _document("inner-product", inputs, result), 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -182,14 +182,6 @@ class TruncatedBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def combine(self, coords: Iterable[GaussianRational]) -> Element:
-        """The element sum_j coords[j] e_j, coordinates in basis order."""
-        out = Element.zero()
-        for c, e in zip(coords, self.vectors):
-            if not c.is_zero:
-                out = out + e.scale(c)
-        return out
-
 
 def exponent_pairs(order: int) -> tuple[tuple[int, int], ...]:
     """The exponent pairs (n, m), 1 <= n, m <= order, in basis order."""
@@ -215,6 +207,13 @@ def build_basis(order: int) -> TruncatedBasis:
 
 
 Pair = tuple[int, int]
+
+
+def combination(pairs: Sequence[Pair], coords: Iterable[GaussianRational]) -> Element:
+    """The element sum_k coords[k] e_{pairs[k]}.  The complement projection
+    is linear, so it is the projection of the one monomial sum
+    sum_k coords[k] z^n_k conj(z)^m_k, and no basis vector is formed."""
+    return complement_project(Element(zip(pairs, coords)))
 
 
 def _order(order: int) -> int:

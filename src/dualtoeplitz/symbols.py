@@ -2,18 +2,20 @@
 
 Grammar (whitespace-insensitive):
 
-    expression := term (('+'|'-') term)*
+    expression := ['-'] term (('+'|'-') term)*
     term       := [coef ['*']] [zpart] [zbpart]
     zpart      := 'z' ['^' uint]
     zbpart     := 'zb' ['^' uint]
     coef       := rational | '(' rational [('+'|'-') rational 'i'] ')'
     rational   := int ['/' uint]
 
-Examples: "z^2 zb", "(1/2 + 1/3 i) z zb^2 - z^3", "-23 z + 7/3".
+Examples: "z^2 zb", "(1/2 + 1/3 i) z zb^2 - z^3", "-23 z + 7/3", "-z",
+"-(1+2i) z".  A leading '-' negates the first term, so "-z" is "-1 z" and
+"-(1+2i) z" is "(-1-2i) z"; a leading '+' is refused.
 The printer emits strings this grammar accepts: rationals as p/q in lowest
 terms with positive q, complex coefficients parenthesized as "p/q+r/si", and
-a leading negative real coefficient folded into an explicit rational (the
-grammar has no unary minus).
+a leading negative real coefficient folded into an explicit rational ("-1 z",
+never "-z"), so the canonical text does not depend on the leading minus.
 """
 
 from __future__ import annotations
@@ -157,16 +159,17 @@ def parse_symbol(text: str) -> Element:
     if sc.done():
         sc.fail("empty symbol")
     pairs = []
-    key, coef = _parse_term(sc)
-    pairs.append((key, coef))
-    while not sc.done():
+    # a leading '-' negates the first term; a leading '+' is refused
+    op = sc.take() if sc.peek() == "-" else "+"
+    while True:
+        key, coef = _parse_term(sc)
+        pairs.append((key, -coef if op == "-" else coef))
+        if sc.done():
+            return Element(pairs)
         op = sc.peek()
         if op not in ("+", "-"):
             sc.fail("expected '+' or '-'")
         sc.take()
-        key, coef = _parse_term(sc)
-        pairs.append((key, -coef if op == "-" else coef))
-    return Element(pairs)
 
 
 def format_rational(value: Fraction) -> str:
@@ -228,7 +231,7 @@ def format_element(e: Element) -> str:
             pieces.append((sign, format_rational(mag)))
     sign, first = pieces[0]
     if sign == "-":
-        # no unary minus in the grammar: print the signed rational explicitly
+        # print the signed rational explicitly, not the leading minus
         mono, c = next(e.terms())
         body = _monomial_str(mono.n, mono.m)
         first = format_rational(c.re) + (" " + body if body else "")

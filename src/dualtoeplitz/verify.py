@@ -39,7 +39,7 @@ from .classify import (
 from .engine import (
     CommutatorAssembly,
     apply,
-    build_basis,
+    combination,
     exponent_pairs,
     q_value,
     selfcomm_form_matrix,
@@ -267,7 +267,8 @@ def _suite_monomial(n_max: int | None = None) -> SuiteReport:
     ok = (
         not result.is_psd
         and result.value < 0
-        and q_value(phi, build_basis(4).combine(result.witness)) == result.value
+        and q_value(phi, combination(exponent_pairs(4), result.witness))
+        == result.value
     )
     report.check(ok, "z^2 zb: form matrix not certified indefinite at order 4")
     return report

@@ -89,9 +89,11 @@ class TestTwoMonomialRule:
         assert v.rule == "two-term-mismatched-exponents"
 
     def test_zero_exponent_goes_outside_scope(self):
-        v = classify_two_monomial(1, 1, (2, 1), (3, 0), order_limit=6)
-        assert v.status is VerdictStatus.OUTSIDE_PROVEN_SCOPE
-        assert v.rule == "two-term-zero-exponent"
+        # the rule searches nothing; classify attaches the evidence
+        bare = Verdict(VerdictStatus.OUTSIDE_PROVEN_SCOPE, "two-term-zero-exponent")
+        assert classify_two_monomial(1, 1, (2, 1), (3, 0)) == bare
+        v = classify(parse_symbol("z^2 zb + z^3"), 6)
+        assert (v.status, v.rule) == (bare.status, bare.rule)
         assert isinstance(v.certificate, NotNormalCertificate)
         assert v.certificate.order <= 6
 

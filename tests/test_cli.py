@@ -105,6 +105,30 @@ class TestClassifyCommand:
         assert "timing:" in err
         assert "timing:" not in out
 
+    def test_leading_minus_symbol(self, capsys):
+        # argparse takes a separate "-z" for an option, so the value is
+        # joined to its flag with "="
+        doc = run_json(capsys, "classify", "--symbol=-z")
+        assert doc["result"]["rule"] == "unbalanced-monomial"
+        assert doc["diagnostics"]["canonical"] == "-1 z"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--symbol", "z zb"),
+        ("matrix", "selfcomm", "--symbol", "z^2 zb", "--N", "2"),
+        ("matrix", "commutator", "--symbol", "z", "--symbol2", "zb", "--N", "2"),
+        ("rank", "--symbol", "z^2 zb", "--N-max", "2"),
+        ("verify", "--suite", "radial"),
+        ("apply", "--symbol", "z zb", "--symbol2", "z^2 zb"),
+        ("inner-product", "--symbol", "z", "--symbol2", "z"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_every_report_names_the_backend(capsys, argv):
+    assert run_json(capsys, *argv)["diagnostics"]["backend"] == BACKEND_NAME
+
 
 class TestMatrixCommand:
     def test_selfcomm_zero_matrix(self, capsys):
@@ -290,15 +314,14 @@ class TestMatrixReportWriter:
         pairs = [(i, i + 1) for i in range(n)]
         strings = _strings(a)
         inputs = {"kind": "selfcomm", "symbol": "z^2 zb", "N": n}
-        diagnostics = {"backend": BACKEND_NAME, "rank": 0}
-        document = cli._matrix_json(inputs, diagnostics, n, pairs, a)
+        document = cli._matrix_json(inputs, {"rank": 0}, n, pairs, a)
         result = {"order": n, "pairs": [list(p) for p in pairs], "entries": strings}
         assert document == _reference_report(
             {
                 "command": "matrix",
                 "inputs": inputs,
                 "result": result,
-                "diagnostics": diagnostics,
+                "diagnostics": {"backend": BACKEND_NAME, "rank": 0},
                 "version": dualtoeplitz.__version__,
             }
         )

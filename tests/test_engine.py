@@ -20,10 +20,12 @@ from dualtoeplitz import (
     HermitianForm,
     NotNormalCertificate,
     SelfcommAssembly,
+    TWO_TERM_GRID,
     ZeroMatrixCertificate,
     adjoint_symbol,
     apply,
     build_basis,
+    classify_with_certificate,
     closed_form_apply,
     commutator_matrix,
     commutator_range_gram,
@@ -42,7 +44,13 @@ from dualtoeplitz import (
 from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
 from dualtoeplitz import _kernel as kernel
-from dualtoeplitz.engine import _HarmonicFactor, _Projection, _fill, exponent_pairs
+from dualtoeplitz.engine import (
+    _HarmonicFactor,
+    _Projection,
+    _fill,
+    combination,
+    exponent_pairs,
+)
 from dualtoeplitz.linalg import Echelon, factored_rank
 
 from oracle_psd import charpoly_psd
@@ -489,7 +497,7 @@ class TestTraceZeroForms:
     def test_engine_combination_matches_reference(self):
         basis = build_basis(3)
         coords = [GaussianRational(k - 4, k % 3) for k in range(len(basis))]
-        assert basis.combine(coords) == combine(basis, coords)
+        assert combination(basis.pairs, coords) == combine(basis, coords)
 
 
 # forms that vanish through orders 1..2 and 1..3, then do not: they walk the
@@ -557,20 +565,22 @@ class TestGramScreen:
 
 
 class TestOrderPathsBuildNoBasis:
-    """Ranks, the Gram screen and a zero-through-order certificate search
-    go order by order from exponent pairs, with no basis built."""
+    """Ranks, the Gram screen and a certificate search, whether it stays
+    zero or finds a witness, go order by order from exponent pairs, with no
+    basis built."""
 
     @pytest.fixture
     def no_basis(self, monkeypatch):
         engine = importlib.import_module("dualtoeplitz.engine")
-        classify = importlib.import_module("dualtoeplitz.classify")
         bases = {order: build_basis(order) for order in range(1, 7)}
 
-        def refuse(order):
-            raise AssertionError(f"build_basis({order}) called")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a basis was built")
 
+        # TruncatedBasis too, so that no module's own name for build_basis
+        # gets round the refusal
         monkeypatch.setattr(engine, "build_basis", refuse)
-        monkeypatch.setattr(classify, "build_basis", refuse)
+        monkeypatch.setattr(engine, "TruncatedBasis", refuse)
         return bases
 
     def test_ranks_build_no_basis(self, no_basis):
@@ -595,6 +605,22 @@ class TestOrderPathsBuildNoBasis:
         assert numeric_certificate(STAYS_ZERO, 6) == ZeroMatrixCertificate(6)
         phi = parse_symbol("z^2 zb + z zb^2 + z zb")
         assert numeric_certificate(phi, 6) == ZeroMatrixCertificate(6)
+
+    def test_witness_search_builds_no_basis(self, no_basis):
+        # the search reaches a nonzero order and combines a witness there
+        phi = parse_symbol("z^2 zb")
+        cert = numeric_certificate(phi, 4)
+        assert isinstance(cert, NotNormalCertificate)
+        assert cert.value < 0 and q_value(phi, cert.witness) == cert.value
+        text, expected = next(
+            (text, expected)
+            for text, expected in TWO_TERM_GRID
+            if expected == "NotHyponormal"
+        )
+        verdict = classify_with_certificate(parse_symbol(text), 6)
+        assert verdict.status.value == expected
+        assert isinstance(verdict.certificate, NotNormalCertificate)
+        assert verdict.certificate.order <= 6
 
     def test_factor_paths_project_nothing(self, monkeypatch):
         # the factor columns come from the exponent pairs in closed form, so

@@ -69,6 +69,19 @@ class TestParse:
         e = parse_symbol("zb^4")
         assert list(e.terms()) == [((0, 4), gr(1))]
 
+    def test_leading_minus_negates_the_first_term(self):
+        assert parse_symbol("-z") == parse_symbol("-1 z")
+        assert parse_symbol(" - z") == parse_symbol("-1 z")
+        assert parse_symbol("- zb^2 + z") == parse_symbol("z - zb^2")
+        assert parse_symbol("-(1+2i) z") == parse_symbol("(-1-2i) z")
+        assert parse_symbol("-2 z") == parse_symbol("-(2) z") == parse_symbol("(-2) z")
+        assert parse_symbol("-7/3 + z") == parse_symbol("z - 7/3")
+
+    def test_printer_keeps_the_explicit_leading_rational(self):
+        assert format_element(parse_symbol("-z")) == "-1 z"
+        assert format_element(parse_symbol("- zb^2 + z")) == "-1 zb^2 + z"
+        assert format_element(parse_symbol("-(1+2i) z")) == "(-1-2i) z"
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
@@ -78,6 +91,9 @@ class TestParseErrors:
             "   ",
             "z +",
             "+ z",
+            "-",
+            "- + z",
+            "-- z",
             "z & zb",
             "1/0 z",
             "(1+2j) z",
