@@ -40,8 +40,11 @@ DEFAULT_ORDER_LIMIT = 8
 SUITE_NAMES = ("monomial", "two-term", "harmonic", "radial", "commutator-parity")
 
 # the smallest bound at which a suite runs its grid, where that is above 1:
-# the radial pairs (n, m) need n != m, and COMMUTATOR_ORDERS starts at 2
-SUITE_MIN_BOUND = {"radial": 2, "commutator-parity": 2}
+# the radial pairs (n, m) need n != m, COMMUTATOR_ORDERS starts at 2, and
+# at order 1 the basis is e_{1,1} alone, so the form is a 1x1 matrix of
+# trace zero, zero for every symbol, and no NotHyponormal symbol of the
+# two-term or harmonic grid can show a witness there
+SUITE_MIN_BOUND = {"two-term": 2, "harmonic": 2, "radial": 2, "commutator-parity": 2}
 
 # every public name not defined above, with the module that defines it
 _LAZY = dict.fromkeys(
@@ -67,7 +70,6 @@ _LAZY = dict.fromkeys(
         "classify_harmonic",
         "classify_monomial",
         "classify_two_monomial",
-        "classify_with_certificate",
         "numeric_certificate",
     ),
     "classify",
@@ -76,7 +78,6 @@ _LAZY = dict.fromkeys(
         "CommutatorAssembly",
         "SelfcommAssembly",
         "TruncatedBasis",
-        "adjoint_symbol",
         "apply",
         "build_basis",
         "commutator_matrix",

@@ -3,10 +3,10 @@
 On the complement of the harmonic functions a dual Toeplitz operator is
 hyponormal exactly when it is normal, so the classifier answers Normal,
 NotHyponormal, or OutsideProvenScope (symbol shapes the proven criteria do
-not cover; those get numeric evidence instead of a proof).  Verdicts carry
-a behavior tag naming the rule that fired and, optionally, an exact
-certificate: a witness with a strictly negative self-commutator form value,
-or the order through which the form matrix was checked to vanish.
+not cover).  Every verdict carries a behavior tag naming the rule that
+fired and the evidence of one search of the self-commutator form through
+the order limit: a witness with a strictly negative form value, or the
+order through which the form matrix was checked to vanish.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class Verdict(NamedTuple):
     rule: str
     certificate: Certificate | None = None
 
-    def with_certificate(self, certificate: Certificate | None) -> "Verdict":
-        return Verdict(self.status, self.rule, certificate)
-
 
 def classify_monomial(a, n: int, m: int) -> Verdict:
     """One-term symbol a z^n conj(z)^m: normal iff n == m."""
@@ -80,8 +77,8 @@ def classify_two_monomial(
     With all exponents positive the operator is normal exactly when the pair
     is radial with a real coefficient ratio, or each monomial is the
     conjugate of the other with |a| == |b|.  A zero exponent anywhere leaves
-    the proven territory: the verdict is OutsideProvenScope, with no
-    certificate (classify attaches the numeric evidence).
+    the proven territory: the verdict is OutsideProvenScope.  The rule
+    functions return no certificate; classify attaches the evidence.
     """
     a = as_scalar(a)
     b = as_scalar(b)
@@ -148,15 +145,23 @@ def _rule(phi: Element) -> Verdict:
 
 
 def classify(phi: Element, order_limit: int = DEFAULT_ORDER_LIMIT) -> Verdict:
-    """Route a symbol to the sharpest proven rule.  The rules search
-    nothing: a proven verdict comes back bare, and an OutsideProvenScope
-    verdict (a zero exponent in a two-term symbol, three or more
-    non-harmonic terms) takes the numeric evidence of numeric_certificate
-    through order_limit."""
+    """The sharpest proven rule's verdict, with the evidence of
+    numeric_certificate through order_limit whatever the verdict.
+
+    Normal verdicts get the zero-matrix order actually checked; NotHyponormal
+    verdicts get a certified witness.  A Normal verdict with a nonzero form
+    is a bug and raises.  A NotHyponormal verdict can still come back with a
+    zero-matrix certificate when the limit is too small for its form to show.
+    """
     verdict = _rule(phi)
-    if verdict.status is VerdictStatus.OUTSIDE_PROVEN_SCOPE:
-        return verdict.with_certificate(numeric_certificate(phi, order_limit))
-    return verdict
+    certificate = numeric_certificate(phi, order_limit)
+    if verdict.status is VerdictStatus.NORMAL and not isinstance(
+        certificate, ZeroMatrixCertificate
+    ):
+        raise RuntimeError(
+            "symbolically normal symbol has a nonzero form matrix; this is a bug"
+        )
+    return verdict._replace(certificate=certificate)
 
 
 def numeric_certificate(
@@ -202,25 +207,3 @@ def numeric_certificate(
             value=check,
         )
     return ZeroMatrixCertificate(order=order_limit)
-
-
-def classify_with_certificate(
-    phi: Element, order_limit: int = DEFAULT_ORDER_LIMIT
-) -> Verdict:
-    """The rule's verdict with the numeric evidence of numeric_certificate
-    through order_limit, whatever the verdict.
-
-    Normal verdicts get the zero-matrix order actually checked; NotHyponormal
-    verdicts get a certified witness.  A Normal verdict with a nonzero form
-    is a bug and raises.  A NotHyponormal verdict can still come back with a
-    zero-matrix certificate when the limit is too small for its form to show.
-    """
-    verdict = _rule(phi)
-    certificate = numeric_certificate(phi, order_limit)
-    if verdict.status is VerdictStatus.NORMAL and not isinstance(
-        certificate, ZeroMatrixCertificate
-    ):
-        raise RuntimeError(
-            "symbolically normal symbol has a nonzero form matrix; this is a bug"
-        )
-    return verdict.with_certificate(certificate)

@@ -87,12 +87,10 @@ def _entry_rows(a, encode) -> list[list[str]]:
     return out
 
 
-def _certificate_payload(cert) -> dict | None:
+def _certificate_payload(cert) -> dict:
     from .classify import NotNormalCertificate, ZeroMatrixCertificate
     from .symbols import format_rational
 
-    if cert is None:
-        return None
     if isinstance(cert, NotNormalCertificate):
         return {
             "kind": "not-normal",
@@ -145,11 +143,11 @@ def _splice(document: str, mark: str, rows: list[list[str]]) -> str:
 def _cmd_classify(args) -> tuple[str, int]:
     if args.n_max < 1:
         raise UsageError("--N-max must be >= 1")
-    from .classify import classify_with_certificate
+    from .classify import classify
     from .symbols import format_element, parse_symbol
 
     phi = parse_symbol(args.symbol)
-    verdict = classify_with_certificate(phi, args.n_max)
+    verdict = classify(phi, args.n_max)
     result = {
         "status": verdict.status.value,
         "rule": verdict.rule,
@@ -284,10 +282,11 @@ def _cmd_verify(args) -> tuple[str, int]:
         names = SUITE_NAMES if args.suite == "all" else (args.suite,)
         low = max(SUITE_MIN_BOUND.get(name, 1) for name in names)
         if args.n_max < low:
-            # a suite would pass with none of its grid checked
+            # a suite would pass with none of its grid checked, or fail
+            # for want of an order at which its forms can show a witness
             raise UsageError(
                 f"--N-max must be >= {low} for --suite {args.suite}: "
-                "a smaller bound leaves its grid empty"
+                "a smaller bound cannot check its grid"
             )
     reports = run_suites(args.suite, args.n_max)
     result = {

@@ -131,11 +131,6 @@ def apply(phi: Element, f: Element) -> Element:
     return Element._wrap(kernel.terms_apply(phi._terms, f._terms))
 
 
-def adjoint_symbol(phi: Element) -> Element:
-    """Symbol of the adjoint operator: the complex conjugate of phi."""
-    return phi.conjugate()
-
-
 def test_vector(k: int) -> Element:
     """The probe vector (I-Q)(z^k conj z) = z^k conj(z) - (k/(k+1)) z^(k-1), k >= 1."""
     if k < 1:
@@ -148,7 +143,7 @@ def test_vector(k: int) -> Element:
 def q_value(phi: Element, f: Element) -> Fraction:
     """|S_phi f|^2 - |S_conj(phi) f|^2, the self-commutator form at f. Exact and real."""
     u = apply(phi, f)
-    v = apply(adjoint_symbol(phi), f)
+    v = apply(phi.conjugate(), f)
     value = inner_product(u, u) - inner_product(v, v)
     # both summands are squared norms, so the value is a plain rational
     return value.re

@@ -45,10 +45,6 @@ class ExactMatrix:
         return self
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls.sparse(rows, cols, [{} for _ in range(rows)])
-
-    @classmethod
     def build(cls, rows: int, cols: int, entry: Callable[[int, int], GaussianRational]) -> "ExactMatrix":
         return cls([[entry(i, j) for j in range(cols)] for i in range(rows)])
 

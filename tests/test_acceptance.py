@@ -30,7 +30,6 @@ from dualtoeplitz import (
     format_element,
     is_antisymmetric,
     monomial_defect_poly,
-    numeric_certificate,
     parse_symbol,
     psd_test,
     q_value,
@@ -149,11 +148,7 @@ def test_criterion_3_two_term_grid():
         phi = parse_symbol(text)
         verdict = classify(phi, 8)
         assert verdict.status is expected, text
-        certificate = (
-            verdict.certificate
-            if verdict.certificate is not None
-            else numeric_certificate(phi, 8)
-        )
+        certificate = verdict.certificate
         if expected is VerdictStatus.NORMAL:
             # zero form matrix through order 8 covers every N <= 6
             assert isinstance(certificate, ZeroMatrixCertificate), text

@@ -1,5 +1,8 @@
 """Normality classification rules, certificates, and their invariances."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,8 @@ from dualtoeplitz import (
     classify_harmonic,
     classify_monomial,
     classify_two_monomial,
-    classify_with_certificate,
+    cli,
+    format_element,
     numeric_certificate,
     parse_symbol,
     q_value,
@@ -258,33 +262,68 @@ class TestNumericCertificate:
 
 class TestClassifyWithCertificate:
     def test_normal_gets_zero_matrix_evidence(self):
-        v = classify_with_certificate(parse_symbol("z^2 zb + z zb^2"), 6)
+        v = classify(parse_symbol("z^2 zb + z zb^2"), 6)
         assert v.status is VerdictStatus.NORMAL
         assert isinstance(v.certificate, ZeroMatrixCertificate)
         assert v.certificate.order == 6
 
     def test_not_hyponormal_gets_witness(self):
-        v = classify_with_certificate(parse_symbol("2 z + 3 zb"), 8)
+        v = classify(parse_symbol("2 z + 3 zb"), 8)
         assert v.status is VerdictStatus.NOT_HYPONORMAL
         assert isinstance(v.certificate, NotNormalCertificate)
 
     def test_outside_scope_keeps_inline_certificate(self):
-        v = classify_with_certificate(parse_symbol("z^2 zb + z^3"), 8)
+        v = classify(parse_symbol("z^2 zb + z^3"), 8)
         assert v.status is VerdictStatus.OUTSIDE_PROVEN_SCOPE
         assert isinstance(v.certificate, NotNormalCertificate)
 
     def test_tiny_limit_is_reported_honestly(self):
         # proven not hyponormal, but the form matrix needs N >= 2 to show it
         phi = parse_symbol("z^3 zb^2 + z zb^2")
-        v = classify_with_certificate(phi, 1)
+        v = classify(phi, 1)
         if isinstance(v.certificate, ZeroMatrixCertificate):
             assert v.status is VerdictStatus.NOT_HYPONORMAL
             assert v.certificate.order == 1
         else:
             assert v.certificate.order == 1
 
-    def test_verdict_with_certificate_is_pure(self):
-        v = Verdict(VerdictStatus.NORMAL, "radial-monomial")
-        w = v.with_certificate(ZeroMatrixCertificate(order=3))
-        assert v.certificate is None and w.certificate is not None
-        assert (w.status, w.rule) == (v.status, v.rule)
+
+_small_exponents = st.integers(0, 3)
+_small_symbols = st.builds(
+    Element,
+    st.lists(
+        st.tuples(st.tuples(_small_exponents, _small_exponents), _scalars),
+        max_size=3,
+    ),
+)
+
+
+@st.composite
+def _affine_real_symbols(draw):
+    """alpha (c z^n zb^m + conj(c) z^m zb^n) + beta: normal, at most three
+    terms, and routed to every rule that can say Normal."""
+    n, m = draw(_small_exponents), draw(_small_exponents)
+    c, alpha, beta = draw(_scalars), draw(_scalars), draw(_scalars)
+    h = Element.monomial(n, m, c) + Element.monomial(m, n, c.conjugate())
+    return h.scale(alpha) + Element.monomial(0, 0, beta)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(_small_symbols, _affine_real_symbols()))
+def test_every_verdict_carries_its_evidence(phi):
+    # one search backs every verdict, and the command line reports that
+    # verdict's certificate as it is
+    v = classify(phi, 4)
+    assert v.certificate is not None
+    if v.status is VerdictStatus.NORMAL:
+        assert v.certificate == ZeroMatrixCertificate(order=4)
+    if isinstance(v.certificate, NotNormalCertificate):
+        assert v.certificate.value < 0
+        assert q_value(phi, v.certificate.witness) == v.certificate.value
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["classify", f"--symbol={format_element(phi)}", "--N-max", "4"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 0
+    result = json.loads(out.getvalue())["result"]
+    assert (result["status"], result["rule"]) == (v.status.value, v.rule)
+    assert result["certificate"] == cli._certificate_payload(v.certificate)

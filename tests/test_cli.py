@@ -436,11 +436,15 @@ class TestVerifyCommand:
             assert out == ""
             assert "--N-max must be >= 1" in err
 
-    @pytest.mark.parametrize("suite", ["radial", "commutator-parity", "all"])
+    @pytest.mark.parametrize(
+        "suite", ["two-term", "harmonic", "radial", "commutator-parity", "all"]
+    )
     def test_bound_that_empties_a_grid_is_a_usage_error(self, capsys, suite, monkeypatch):
         # radial's pairs need n != m and the commutator grid starts at order
         # 2, so a bound of 1 used to report them passed with none of their
-        # grid checked; the bound is refused before the suites load
+        # grid checked; at order 1 every form is the zero 1x1 matrix, so the
+        # two-term and harmonic grids used to fail there for want of a
+        # witness; the bound is refused before the suites load
         def no_suites(*args):
             raise AssertionError("the suites ran")
 
@@ -450,14 +454,20 @@ class TestVerifyCommand:
         assert out == ""
         assert "--N-max must be >= 2" in err
 
-    @pytest.mark.parametrize("suite", ["monomial", "two-term", "harmonic"])
+    @pytest.mark.parametrize("suite", ["monomial"])
     def test_bound_of_one_runs_the_other_suites(self, capsys, suite):
-        # their grids are not empty at 1, so they run and report; two-term
-        # and harmonic still fail there (the tiny-limit bug), not refused
+        # its grid is not empty at 1, so it runs and passes there
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--N-max", "1")
-        assert code in (0, 1), err
+        assert code == 0, err
         (report,) = json.loads(out)["result"]["suites"]
         assert report["checks"] > 0
+
+    @pytest.mark.parametrize("suite", ["two-term", "harmonic"])
+    def test_lowest_accepted_bound_passes(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--N-max", "2")
+        assert code == 0, err
+        (report,) = json.loads(out)["result"]["suites"]
+        assert report["checks"] > 0 and report["passed"] is True
 
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as info:

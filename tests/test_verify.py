@@ -34,11 +34,19 @@ UNBOUNDED_CHECKS = {"radial": 0, "commutator-parity": 3}
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_min_bound_is_where_the_grid_starts(name):
     # the command line refuses a bound below SUITE_MIN_BOUND without loading
-    # the suites, so the table must say where each grid really starts
+    # the suites, so the table must say where each grid really starts: the
+    # suite passes at its lowest accepted bound, and one below it checks none
+    # of its grid (radial, commutator-parity) or cannot pass, since every form
+    # is zero at order 1 (two-term, harmonic)
     low = SUITE_MIN_BOUND.get(name, 1)
-    assert run_suite(name, low).checks > UNBOUNDED_CHECKS.get(name, 0)
+    report = run_suite(name, low)
+    assert report.passed and report.checks > UNBOUNDED_CHECKS.get(name, 0)
     if low > 1:
-        assert run_suite(name, low - 1).checks == UNBOUNDED_CHECKS[name]
+        below = run_suite(name, low - 1)
+        if name in UNBOUNDED_CHECKS:
+            assert below.checks == UNBOUNDED_CHECKS[name]
+        else:
+            assert not below.passed
 
 
 @pytest.mark.parametrize(
