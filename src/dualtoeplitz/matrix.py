@@ -7,7 +7,7 @@ operation visits those alone.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ._kernel import GR_ZERO as _ZERO, GaussianRational
 
@@ -43,10 +43,6 @@ class ExactMatrix:
         self.cols = cols
         self.entries = entries
         return self
-
-    @classmethod
-    def build(cls, rows: int, cols: int, entry: Callable[[int, int], GaussianRational]) -> "ExactMatrix":
-        return cls([[entry(i, j) for j in range(cols)] for i in range(rows)])
 
     @property
     def data(self) -> list[list[GaussianRational]]:

@@ -21,12 +21,17 @@ Suite names:
                          conjugation swap, and the pairing and range-Gram
                          ranks the command line reports (even, equal to the
                          pairing's own rank and to the frozen pair grid).
-- ``all``                everything above, in that order.
+- ``all``                everything above, reported in that order; where
+                         ``os.fork`` exists the suites run on two processes
+                         (see ``run_suites``).
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 from fractions import Fraction
+from typing import Iterator, NoReturn
 
 from . import SUITE_NAMES
 from .algebra import Element
@@ -430,6 +435,13 @@ _SUITES = {
     "commutator-parity": _suite_commutator,
 }
 
+# the order run_suites("all") queues the suites in: longest first (in
+# process about 22, 10, 5, 4 and 2 ms), so the caller, which claims first,
+# takes two-term and the short suites even out the end; in declared order
+# the worker, which starts after the fork, took two-term in 49 of 50 runs,
+# so the longest suite started last
+QUEUE_ORDER = ("two-term", "commutator-parity", "harmonic", "monomial", "radial")
+
 
 def run_suite(name: str, n_max: int | None = None) -> SuiteReport:
     """Run one named suite.  n_max overrides the suite's principal bound
@@ -444,7 +456,105 @@ def run_suite(name: str, n_max: int | None = None) -> SuiteReport:
 
 
 def run_suites(name: str, n_max: int | None = None) -> list[SuiteReport]:
-    """Run one suite, or all of them in declaration order for name='all'."""
-    if name == "all":
-        return [run_suite(s, n_max) for s in SUITE_NAMES]
-    return [run_suite(name, n_max)]
+    """Run one suite, or all of them for name='all', reported in declaration
+    order.
+
+    For 'all' this forks one worker process where os.fork exists.  The two
+    processes take suites from one queue, each the next one whenever it is
+    free, and the worker sends its reports back; the result is the same as
+    running every suite here in turn.  Forking a process that runs threads
+    is unsafe, so such a caller should call run_suite for each name instead.
+    A suite that raises in the worker, or a worker that exits without
+    reporting the suites it took, raises RuntimeError here.
+    """
+    if name != "all":
+        return [run_suite(name, n_max)]
+    # the queue: one byte per suite, its index in QUEUE_ORDER; both ends of
+    # the fork hold the read end, and a one-byte read claims the next suite
+    queue, fill = os.pipe()
+    try:
+        os.write(fill, bytes(range(len(QUEUE_ORDER))))
+    finally:
+        os.close(fill)
+    try:
+        if hasattr(os, "fork"):
+            reports = _run_with_worker(queue, n_max)
+        else:
+            reports = {r.name: r for r in _claimed_reports(queue, n_max)}
+    finally:
+        os.close(queue)
+    return [reports[s] for s in SUITE_NAMES]
+
+
+def _claimed_reports(queue: int, n_max: int | None) -> Iterator[SuiteReport]:
+    """Run the suites claimed from the queue, one at a time, until it is empty."""
+    while claimed := os.read(queue, 1):
+        yield run_suite(QUEUE_ORDER[claimed[0]], n_max)
+
+
+def _run_with_worker(queue: int, n_max: int | None) -> dict[str, SuiteReport]:
+    """Drain the queue here and in one forked worker; every report by name."""
+    results, sink = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        # no process to be had (a process limit, say): drain it all here
+        os.close(results)
+        os.close(sink)
+        return {r.name: r for r in _claimed_reports(queue, n_max)}
+    if pid == 0:
+        _worker(queue, results, sink, n_max)
+    os.close(sink)
+    try:
+        with os.fdopen(results, "rb") as stream:
+            reports = {r.name: r for r in _claimed_reports(queue, n_max)}
+            while True:
+                try:
+                    record = marshal.load(stream)
+                except EOFError:
+                    break
+                if isinstance(record, str):
+                    raise RuntimeError(
+                        f"a suite raised in the worker process:\n{record}"
+                    )
+                reports[record[0]] = SuiteReport(*record)
+    finally:
+        # if this share raised, take the suites still queued so the worker
+        # stops after its current one; it cannot block on the closed stream
+        while os.read(queue, len(QUEUE_ORDER)):
+            pass
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    unreported = [s for s in SUITE_NAMES if s not in reports]
+    if unreported or status:
+        raise RuntimeError(
+            f"the worker process exited with status {status}; suites it "
+            f"claimed and did not report: {', '.join(unreported) or 'none'}"
+        )
+    return reports
+
+
+def _worker(queue: int, results: int, sink: int, n_max: int | None) -> NoReturn:
+    """The forked worker: send (name, checks, failures) for each suite it
+    claims, or the traceback of one that raises.  It ends with os._exit
+    whatever happens, so it never returns into the caller's stack and runs
+    no exit handler of the parent's."""
+    code = 1
+    try:
+        os.close(results)
+        stream = os.fdopen(sink, "wb")
+        try:
+            for report in _claimed_reports(queue, n_max):
+                _send(stream, (report.name, report.checks, report.failures))
+            code = 0
+        except Exception:
+            import traceback  # only a failing worker needs it
+
+            _send(stream, traceback.format_exc())
+    finally:
+        os._exit(code)
+
+
+def _send(stream, record) -> None:
+    # flushed at once: os._exit flushes no buffer
+    marshal.dump(record, stream)
+    stream.flush()

@@ -704,6 +704,15 @@ class TestLoadSet:
         for name in self.NEVER:
             assert name not in modules
 
+    def test_verify_all_forks_its_worker_without_a_process_pool(self):
+        # the worker is forked and reports through a pipe with os and
+        # marshal alone; importing multiprocessing takes about 8 ms
+        proc, modules = self.loaded("verify", "--suite", "all")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["passed"] is True
+        pool = ("multiprocessing", "pickle", "concurrent") + self.NEVER
+        assert not {name for name in modules if name.split(".")[0] in pool}
+
     def test_every_public_name_resolves(self):
         probe = textwrap.dedent(
             """

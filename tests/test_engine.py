@@ -68,6 +68,11 @@ elements = st.builds(
 HYP = settings(derandomize=True, max_examples=40, deadline=None)
 
 
+def build(rows, cols, entry):
+    """The rows x cols matrix whose (i, j) entry is entry(i, j)."""
+    return ExactMatrix([[entry(i, j) for j in range(cols)] for i in range(rows)])
+
+
 class TestApply:
     def test_is_complement_of_product(self):
         phi = Element.monomial(1, 1)
@@ -332,15 +337,15 @@ class TestGradedAssembly:
             apply(phi, apply(psi, e)) - apply(psi, apply(phi, e))
             for e in basis.vectors
         ]
-        form = ExactMatrix.build(
+        form = build(
             size,
             size,
             lambda i, j: inner_product(u[j], u[i]) - inner_product(v[j], v[i]),
         )
-        pairing = ExactMatrix.build(
+        pairing = build(
             size, size, lambda i, j: inner_product(w[j], basis.vectors[i])
         )
-        gram = ExactMatrix.build(size, size, lambda i, j: inner_product(w[j], w[i]))
+        gram = build(size, size, lambda i, j: inner_product(w[j], w[i]))
         assert selfcomm_form_matrix(phi, order) == form
         assert commutator_matrix(phi, psi, order) == pairing
         assert commutator_range_gram(phi, psi, order) == gram

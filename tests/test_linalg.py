@@ -35,6 +35,11 @@ def matrix(rows):
     return ExactMatrix([[gr(*e) if isinstance(e, tuple) else gr(e) for e in row] for row in rows])
 
 
+def build(rows, cols, entry):
+    """The rows x cols matrix whose (i, j) entry is entry(i, j)."""
+    return ExactMatrix([[entry(i, j) for j in range(cols)] for i in range(rows)])
+
+
 def _random_matrix(rng, n, m, complex_entries=True):
     def entry():
         re_part = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -59,14 +64,14 @@ def _trace_free(h):
     """n h - tr(h) I: the same off-diagonal pattern, trace zero."""
     n = h.rows
     trace = sum((h[k, k] for k in range(n)), start=gr(0))
-    return ExactMatrix.build(
+    return build(
         n, n, lambda i, j: h[i, j] * n - trace if i == j else h[i, j] * n
     )
 
 
 class TestExactMatrix:
     def test_build_and_access(self):
-        a = ExactMatrix.build(2, 3, lambda i, j: gr(i * 3 + j))
+        a = build(2, 3, lambda i, j: gr(i * 3 + j))
         assert a.rows == 2 and a.cols == 3
         assert a[1, 2] == 5
         assert a.transpose()[2, 1] == 5
@@ -120,7 +125,7 @@ def _hermitian(n, re_parts, im_parts, diagonal):
             return entry(j, i).conjugate()
         return gr(re_parts[i * n + j], im_parts[i * n + j])
 
-    return ExactMatrix.build(n, n, entry)
+    return build(n, n, entry)
 
 
 class TestPsdTest:
@@ -222,13 +227,13 @@ class TestPsdTest:
         for n in (2, 3, 4):
             for _ in range(6):
                 a = _random_matrix(rng, n, n)
-                h = ExactMatrix.build(
+                h = build(
                     n, n, lambda i, j: a[i, j] + a[j, i].conjugate()
                 )
                 self._check_against_oracle(_trace_free(h))
                 # and with the diagonal dropped
                 self._check_against_oracle(
-                    ExactMatrix.build(n, n, lambda i, j: gr(0) if i == j else h[i, j])
+                    build(n, n, lambda i, j: gr(0) if i == j else h[i, j])
                 )
         self._check_against_oracle(matrix([[0] * 3] * 3))
 
