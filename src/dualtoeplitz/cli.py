@@ -15,7 +15,14 @@ Reports are JSON documents with top-level keys {"command", "inputs",
 canonical rational strings so identical invocations produce byte-identical
 output.  Timing goes to stderr only.  Exit codes: 0 success / all checks
 passed, 1 verification failure, 2 usage or parse error, or an ``--out``
-file or stdout that cannot be written.
+file or stdout that cannot be written, 3 an exception inside a command
+(its traceback goes to stderr).
+
+``main`` returns the exit code, for callers in the same process.  ``run``,
+the process entry point, calls it, flushes the output and ends with
+``os._exit``: a command's process has nothing left to do, and interpreter
+teardown (clearing the modules, freeing every object, a last collection)
+would cost several milliseconds of every command.
 
 A ``matrix`` report holds N^4 entries and N^2 exponent pairs, so those two
 arrays bypass the indenting encoder (with ``indent`` set, ``json`` falls back
@@ -39,8 +46,10 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 import time
+from typing import NoReturn
 
 from . import (
     BACKEND_NAME,
@@ -405,5 +414,32 @@ def main(argv=None) -> int:
     return code
 
 
+def run(argv=None) -> NoReturn:
+    """The process entry point: main's code as the exit status, without
+    interpreter teardown.  main flushes its report, so only argparse's
+    output (--help, usage errors) can still be buffered, and a flush that
+    fails exits 2 as a failed report write does.  An exception from a
+    command prints its traceback and exits 3, so that a crash does not read
+    as a failed check (exit 1)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        code = exc.code
+        try:
+            if sys.stdout is not None:  # None if started with stdout closed
+                sys.stdout.flush()
+        except OSError as err:
+            print(f"error: cannot write stdout: {err.strerror}", file=sys.stderr)
+            code = 2
+    except Exception:
+        import traceback  # only a crash needs it
+
+        traceback.print_exc()
+        code = 3
+    if sys.stderr is not None:  # None if started with stderr closed
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -228,17 +228,21 @@ def _suite_monomial(n_max: int | None = None) -> SuiteReport:
                 poly.is_zero == (n == m),
                 f"defect poly ({n},{m}): vanishing law violated",
             )
-    # unbalanced monomials admit a strictly negative form value
+    # unbalanced monomials admit a strictly negative form value, in the
+    # window the checks above use
     for n in range(1, limit + 1):
         for m in range(1, limit + 1):
             if n == m:
                 continue
+            top = max(n, m)
             found = any(
                 closed_form_q(n, m, k) < 0 or closed_form_q(m, n, k) < 0
-                for k in range(max(n, m) + 1, 9)
+                for k in range(top + 1, top + 4)
             )
             report.check(
-                found, f"no negative form value found for ({n},{m}) with k <= 8"
+                found,
+                f"no negative form value found for ({n},{m}) "
+                f"with {top + 1} <= k <= {top + 3}",
             )
     # and the form matrix itself is indefinite with a verified witness
     phi = parse_symbol("z^2 zb")

@@ -537,13 +537,17 @@ class TestOutputFile:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_failed_stdout_write_exits_2(self):
         # every write to /dev/full fails with ENOSPC: an output error, like
-        # an --out file that cannot be written, and not a failed check
+        # an --out file that cannot be written, and not a failed check;
+        # buffered, the write succeeds and the flush fails
         argv = ("matrix", "selfcomm", "--symbol", "z^2 zb", "--N", "12")
-        with open("/dev/full", "w") as full:
-            proc = fresh_python("-m", "dualtoeplitz.cli", *argv, stdout=full)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: cannot write stdout: ")
-        assert proc.stderr.count("\n") == 1
+        for unbuffered in (False, True):
+            with open("/dev/full", "w") as full:
+                proc = fresh_python(
+                    "-m", "dualtoeplitz.cli", *argv, stdout=full, unbuffered=unbuffered
+                )
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: cannot write stdout: ")
+            assert proc.stderr.count("\n") == 1
 
 
 class TestVersionAndScript:
@@ -568,11 +572,16 @@ class TestVersionAndScript:
         assert "timing:" in proc.stderr
 
 
-def fresh_python(*argv, stdout=subprocess.PIPE):
-    """Run a fresh interpreter that finds this package first."""
+def fresh_python(*argv, stdout=subprocess.PIPE, unbuffered=None):
+    """Run a fresh interpreter that finds this package first.  unbuffered
+    sets (True) or unsets (False) PYTHONUNBUFFERED; None keeps ours."""
     src = os.path.dirname(os.path.dirname(dualtoeplitz.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, *argv],
         stdout=stdout,
@@ -580,6 +589,166 @@ def fresh_python(*argv, stdout=subprocess.PIPE):
         text=True,
         env=env,
     )
+
+
+MATRIX_12 = ("matrix", "selfcomm", "--symbol", "(-3/5+4/5i) z^2 zb", "--N", "12")
+
+
+class TestExitPaths:
+    """A command's process ends in cli.run: one flush, then os._exit with no
+    interpreter teardown.  Each case runs with stdout buffered and
+    unbuffered, since output still in a buffer at the end is what the flush
+    is for."""
+
+    @pytest.fixture(params=[False, True], ids=["buffered", "unbuffered"])
+    def unbuffered(self, request):
+        return request.param
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        # argparse wraps at the terminal width: the same one here and in
+        # the child, which inherits the environment
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def command(unbuffered, *argv, stdout=subprocess.PIPE):
+        return fresh_python(
+            "-m", "dualtoeplitz.cli", *argv, stdout=stdout, unbuffered=unbuffered
+        )
+
+    def test_report_through_a_pipe_is_mains(self, capsys, unbuffered):
+        proc = self.command(unbuffered, *MATRIX_12)
+        code, out, _ = run_cli(capsys, *MATRIX_12)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out
+
+    def test_help_is_the_parsers(self, unbuffered):
+        proc = self.command(unbuffered, "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == cli.build_parser().format_help()
+        assert proc.stderr == ""
+
+    def test_usage_error_exits_2_with_the_usage(self, capsys, unbuffered):
+        argv = ("rank", "--symbol", "z", "--N-max", "two")
+        proc = self.command(unbuffered, *argv)
+        with pytest.raises(SystemExit) as info:
+            cli.main(list(argv))
+        assert info.value.code == proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == capsys.readouterr().err
+
+    def test_out_file_holds_the_whole_report(self, capsys, tmp_path, unbuffered):
+        target = tmp_path / "report.json"
+        proc = self.command(unbuffered, *MATRIX_12, "--out", str(target))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+        _, out, _ = run_cli(capsys, *MATRIX_12)
+        assert target.read_bytes() == out.encode("ascii")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_buffered_help_that_cannot_be_flushed_exits_2(self):
+        # the help sits in the buffer when argparse exits, and only the
+        # flush finds that it cannot be written; unbuffered, argparse meets
+        # the error in its own write and ignores it
+        with open("/dev/full", "w") as full:
+            proc = self.command(False, "--help", stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_crash_exits_3_with_its_traceback(self, unbuffered):
+        # a suite that raises, in whichever process claims it; os._exit is
+        # wrapped to check that every forked worker was reaped by then
+        probe = textwrap.dedent(
+            """
+            import os
+            from dualtoeplitz import cli, verify
+
+            def radial(n_max=None):
+                return 1 // 0
+
+            verify._SUITES["radial"] = radial
+            real_exit = os._exit
+
+            def exit_after_reaping(code):
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                except ChildProcessError:
+                    real_exit(code)
+                real_exit(99)
+
+            os._exit = exit_after_reaping
+            cli.run(["verify", "--suite", "all", "--N-max", "2"])
+            """
+        )
+        proc = fresh_python("-c", probe, unbuffered=unbuffered)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("Traceback (most recent call last):")
+        assert "ZeroDivisionError" in proc.stderr
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class _Exited(Exception):
+    """What os._exit raises in TestRunInProcess, with the exit code."""
+
+
+class TestRunInProcess:
+    @pytest.fixture(autouse=True)
+    def exit_raises(self, monkeypatch):
+        # no case runs verify --suite all, whose forked worker would raise
+        # this too instead of exiting
+        def exit_(code):
+            raise _Exited(code)
+
+        monkeypatch.setattr(cli.os, "_exit", exit_)
+
+    @staticmethod
+    def code(*argv):
+        with pytest.raises(_Exited) as info:
+            cli.run(list(argv))
+        return info.value.args[0]
+
+    def test_success(self, capsys):
+        assert self.code("classify", "--symbol", "z zb", "--N-max", "2") == 0
+        assert json.loads(capsys.readouterr().out)["result"]["status"] == "Normal"
+
+    def test_failed_suite(self, capsys, monkeypatch):
+        def fake_run_suites(suite, n_max=None):
+            report = SuiteReport(name=suite)
+            report.check(False, "forced failure for the exit-code path")
+            return [report]
+
+        monkeypatch.setattr(cli, "run_suites", fake_run_suites)
+        assert self.code("verify", "--suite", "radial") == 1
+        assert json.loads(capsys.readouterr().out)["result"]["passed"] is False
+
+    def test_help(self, capsys):
+        assert self.code("--help") == 0
+        assert capsys.readouterr().out.startswith("usage: dualtoeplitz")
+
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_help_with_a_stream_closed(self, capsys, monkeypatch, stream):
+        # a process started with fd 1 or 2 closed has None for that stream;
+        # argparse then writes its help to the other one
+        monkeypatch.setattr(sys, stream, None)
+        assert self.code("--help") == 0
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).startswith("usage: dualtoeplitz")
+
+    def test_usage_error(self, capsys):
+        assert self.code("rank", "--symbol", "z", "--N-max", "two") == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
+    def test_crash(self, capsys, monkeypatch):
+        from dualtoeplitz import verify
+
+        monkeypatch.setitem(verify._SUITES, "radial", lambda n_max=None: 1 // 0)
+        assert self.code("verify", "--suite", "radial", "--N-max", "2") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ZeroDivisionError" in captured.err
 
 
 class TestLoadSet:

@@ -62,6 +62,15 @@ def test_min_bound_is_where_the_grid_starts(name):
             assert not below.passed
 
 
+@pytest.mark.parametrize("n_max", [8, 10])
+def test_monomial_suite_passes_past_order_8(n_max):
+    # each unbalanced pair's negative form value is sought in the window
+    # max(n, m) + 1 .. max(n, m) + 3 the closed-form checks use; a fixed
+    # k <= 8 left the pairs with max(n, m) >= 8 nothing to search
+    report = run_suite("monomial", n_max)
+    assert report.passed, report.failures
+
+
 @pytest.mark.parametrize(
     "wrong",
     [lambda r, g: (r + 2, g), lambda r, g: (r, g + 1)],
