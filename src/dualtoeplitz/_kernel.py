@@ -369,35 +369,6 @@ def factor_form(f: dict, g: dict) -> GaussianRational:
     return _norm(re, im, den)
 
 
-def terms_complement(f: dict) -> dict:
-    """Project a term map onto the orthogonal complement of the harmonic part.
-
-    Monomial rule: z^n conj(z)^m maps to itself minus
-    ((n-m+1)/(n+1)) z^(n-m) when m <= n, minus ((m-n+1)/(m+1)) conj(z)^(m-n)
-    when m > n.  Harmonic monomials cancel exactly.
-    """
-    out = {}
-    for key, c in f.items():
-        n, m = key
-        acc = out.get(key)
-        if acc is None:
-            out[key] = c
-        else:
-            out[key] = acc + c
-        if m <= n:
-            hkey = (n - m, 0)
-            corr = c._mul_int_ratio(n - m + 1, n + 1)
-        else:
-            hkey = (0, m - n)
-            corr = c._mul_int_ratio(m - n + 1, m + 1)
-        acc = out.get(hkey)
-        if acc is None:
-            out[hkey] = -corr
-        else:
-            out[hkey] = acc - corr
-    return {key: c for key, c in out.items() if not c.is_zero}
-
-
 def _accumulate(sums: dict, key, x: int, y: int, den: int) -> None:
     """Add (x + yi)/den to sums[key], kept as [re, im, den] ints and never
     normalized: equal denominators add, others are cross-multiplied."""
@@ -420,9 +391,11 @@ def terms_apply(phi: dict, f: dict) -> dict:
     A product monomial z^n conj(z)^m with n = 0 or m = 0 is harmonic, so its
     projection is 0 and it is skipped.  Any other product term c adds c to
     its own key and -c (|n-m|+1)/(max(n,m)+1) to the key of h_(n-m), the
-    terms_complement rule.  Each key's sum is kept as int numerators over
-    one denominator and normalized once, so the result holds the same
-    normalized triples as terms_complement(terms_product(phi, f)).
+    harmonic part of c z^n conj(z)^m.  Each key's sum is kept as int
+    numerators over one denominator and normalized once, so the result
+    holds the same normalized triples as step-by-step scalar arithmetic.
+    With phi the unit symbol {(0, 0): 1} this is the complement projection
+    of f.
     """
     sums: dict = {}
     for (n1, m1), c1 in phi.items():
@@ -478,7 +451,8 @@ def terms_harmonic_factor(phi: dict, n: int, m: int) -> dict:
     h_d is the one harmonic monomial of frequency d: z^d for d >= 0 and
     conj(z)^(-d) for d < 0.  Monomial rule:
     Q(z^a conj(z)^b) = ((|a-b|+1)/(max(a,b)+1)) h_(a-b), the harmonic part
-    that terms_complement removes.  So e_{n,m} = z^n conj(z)^m - k h_(n-m),
+    that the complement projection removes.  So
+    e_{n,m} = z^n conj(z)^m - k h_(n-m),
     with k = (|n-m|+1)/(max(n,m)+1) and h_(n-m) = z^p conj(z)^q,
     p = max(n-m, 0), q = max(m-n, 0), and a term c z^a conj(z)^b of phi adds
     to the frequency d = a - b + n - m

@@ -174,5 +174,6 @@ def harmonic_project(f: Element) -> Element:
 
 
 def complement_project(f: Element) -> Element:
-    """Projection onto the orthogonal complement of the harmonic functions."""
-    return Element._wrap(kernel.terms_complement(f._terms))
+    """Projection onto the orthogonal complement of the harmonic functions:
+    the dual Toeplitz action of the unit symbol."""
+    return Element._wrap(kernel.terms_apply({(0, 0): _GR_ONE}, f._terms))

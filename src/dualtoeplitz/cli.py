@@ -45,6 +45,7 @@ element algebra and the symbol parser.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import os
 import sys
@@ -387,6 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if sys.stderr is None:
+        # started with fd 2 closed: print(file=None) and argparse's usage
+        # would write to stdout, which carries the report alone
+        sys.stderr = open(os.devnull, "w")
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
@@ -405,6 +410,8 @@ def main(argv=None) -> int:
             return 2
     else:
         try:
+            if sys.stdout is None:  # started with fd 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(payload)
             sys.stdout.flush()
         except OSError as exc:

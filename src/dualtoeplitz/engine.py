@@ -135,9 +135,7 @@ def test_vector(k: int) -> Element:
     """The probe vector (I-Q)(z^k conj z) = z^k conj(z) - (k/(k+1)) z^(k-1), k >= 1."""
     if k < 1:
         raise ValueError("test vectors need k >= 1 (k=0 collapses to zero)")
-    return Element._wrap(
-        {(k, 1): kernel.GR_ONE, (k - 1, 0): GaussianRational(Fraction(-k, k + 1))}
-    )
+    return complement_project(Element.monomial(k, 1))
 
 
 def q_value(phi: Element, f: Element) -> Fraction:

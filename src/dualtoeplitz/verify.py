@@ -22,8 +22,9 @@ Suite names:
                          ranks the command line reports (even, equal to the
                          pairing's own rank and to the frozen pair grid).
 - ``all``                everything above, reported in that order; where
-                         ``os.fork`` exists the suites run on two processes
-                         (see ``run_suites``).
+                         ``os.fork`` exists this process runs ``two-term``
+                         and one forked worker the other four
+                         (``WORKER_SUITES``, see ``run_suites``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import marshal
 import os
 from fractions import Fraction
-from typing import Iterator, NoReturn
+from typing import NoReturn
 
 from . import SUITE_NAMES
 from .algebra import Element
@@ -439,12 +440,11 @@ _SUITES = {
     "commutator-parity": _suite_commutator,
 }
 
-# the order run_suites("all") queues the suites in: longest first (in
-# process about 22, 10, 5, 4 and 2 ms), so the caller, which claims first,
-# takes two-term and the short suites even out the end; in declared order
-# the worker, which starts after the fork, took two-term in 49 of 50 runs,
-# so the longest suite started last
-QUEUE_ORDER = ("two-term", "commutator-parity", "harmonic", "monomial", "radial")
+# the suites the forked worker runs for run_suites("all"); the caller runs
+# two-term, which needs no start-up.  In process two-term takes about 24 ms
+# and these four about 22 ms together (4.5, 5.4, 1.8 and 10.6 ms), so the
+# two shares end about together
+WORKER_SUITES = ("monomial", "harmonic", "radial", "commutator-parity")
 
 
 def run_suite(name: str, n_max: int | None = None) -> SuiteReport:
@@ -463,102 +463,82 @@ def run_suites(name: str, n_max: int | None = None) -> list[SuiteReport]:
     """Run one suite, or all of them for name='all', reported in declaration
     order.
 
-    For 'all' this forks one worker process where os.fork exists.  The two
-    processes take suites from one queue, each the next one whenever it is
-    free, and the worker sends its reports back; the result is the same as
-    running every suite here in turn.  Forking a process that runs threads
-    is unsafe, so such a caller should call run_suite for each name instead.
-    A suite that raises in the worker, or a worker that exits without
-    reporting the suites it took, raises RuntimeError here.
+    For 'all' this forks one worker process where os.fork exists.  The
+    worker runs WORKER_SUITES and sends their reports back through a pipe
+    while this process runs two-term; the result is the same as running
+    every suite here in turn.  Without os.fork, or when the fork fails,
+    every suite runs here.  Forking a process that runs threads is unsafe,
+    so such a caller should call run_suite for each name instead.  A suite
+    that raises in the worker, or a worker that exits without reporting,
+    raises RuntimeError here.
     """
     if name != "all":
         return [run_suite(name, n_max)]
-    # the queue: one byte per suite, its index in QUEUE_ORDER; both ends of
-    # the fork hold the read end, and a one-byte read claims the next suite
-    queue, fill = os.pipe()
-    try:
-        os.write(fill, bytes(range(len(QUEUE_ORDER))))
-    finally:
-        os.close(fill)
-    try:
-        if hasattr(os, "fork"):
-            reports = _run_with_worker(queue, n_max)
-        else:
-            reports = {r.name: r for r in _claimed_reports(queue, n_max)}
-    finally:
-        os.close(queue)
-    return [reports[s] for s in SUITE_NAMES]
+    if hasattr(os, "fork"):
+        reports = _run_with_worker(n_max)
+        if reports is not None:
+            return reports
+    return [run_suite(s, n_max) for s in SUITE_NAMES]
 
 
-def _claimed_reports(queue: int, n_max: int | None) -> Iterator[SuiteReport]:
-    """Run the suites claimed from the queue, one at a time, until it is empty."""
-    while claimed := os.read(queue, 1):
-        yield run_suite(QUEUE_ORDER[claimed[0]], n_max)
-
-
-def _run_with_worker(queue: int, n_max: int | None) -> dict[str, SuiteReport]:
-    """Drain the queue here and in one forked worker; every report by name."""
+def _run_with_worker(n_max: int | None) -> list[SuiteReport] | None:
+    """Run two-term here and WORKER_SUITES in one forked worker; every report
+    in declaration order, or None if no process could be forked."""
     results, sink = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        # no process to be had (a process limit, say): drain it all here
+        # no process to be had (a process limit, say)
         os.close(results)
         os.close(sink)
-        return {r.name: r for r in _claimed_reports(queue, n_max)}
+        return None
     if pid == 0:
-        _worker(queue, results, sink, n_max)
+        _worker(results, sink, n_max)
     os.close(sink)
     try:
+        # if this share raises, the read end closes before the wait, so the
+        # worker cannot block on a full pipe
         with os.fdopen(results, "rb") as stream:
-            reports = {r.name: r for r in _claimed_reports(queue, n_max)}
-            while True:
-                try:
-                    record = marshal.load(stream)
-                except EOFError:
-                    break
-                if isinstance(record, str):
-                    raise RuntimeError(
-                        f"a suite raised in the worker process:\n{record}"
-                    )
-                reports[record[0]] = SuiteReport(*record)
+            reports = {
+                s: run_suite(s, n_max) for s in SUITE_NAMES if s not in WORKER_SUITES
+            }
+            try:
+                record = marshal.load(stream)
+            except EOFError:
+                record = []
     finally:
-        # if this share raised, take the suites still queued so the worker
-        # stops after its current one; it cannot block on the closed stream
-        while os.read(queue, len(QUEUE_ORDER)):
-            pass
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    unreported = [s for s in SUITE_NAMES if s not in reports]
+    if isinstance(record, str):
+        raise RuntimeError(f"a suite raised in the worker process:\n{record}")
+    reports.update({n: SuiteReport(n, c, f) for n, c, f in record})
+    unreported = [s for s in WORKER_SUITES if s not in reports]
     if unreported or status:
         raise RuntimeError(
             f"the worker process exited with status {status}; suites it "
-            f"claimed and did not report: {', '.join(unreported) or 'none'}"
+            f"did not report: {', '.join(unreported) or 'none'}"
         )
-    return reports
+    return [reports[s] for s in SUITE_NAMES]
 
 
-def _worker(queue: int, results: int, sink: int, n_max: int | None) -> NoReturn:
-    """The forked worker: send (name, checks, failures) for each suite it
-    claims, or the traceback of one that raises.  It ends with os._exit
-    whatever happens, so it never returns into the caller's stack and runs
-    no exit handler of the parent's."""
+def _worker(results: int, sink: int, n_max: int | None) -> NoReturn:
+    """The forked worker: write one record, the (name, checks, failures) of
+    each of WORKER_SUITES or the traceback of a suite that raises.  It ends
+    with os._exit whatever happens, so it never returns into the caller's
+    stack and runs no exit handler of the parent's; its status is 0 only
+    once the record is written."""
     code = 1
     try:
         os.close(results)
-        stream = os.fdopen(sink, "wb")
         try:
-            for report in _claimed_reports(queue, n_max):
-                _send(stream, (report.name, report.checks, report.failures))
-            code = 0
+            reports = [run_suite(s, n_max) for s in WORKER_SUITES]
+            record = [(r.name, r.checks, r.failures) for r in reports]
         except Exception:
             import traceback  # only a failing worker needs it
 
-            _send(stream, traceback.format_exc())
+            record = traceback.format_exc()
+        # closing flushes the record: os._exit flushes no buffer
+        with os.fdopen(sink, "wb") as stream:
+            marshal.dump(record, stream)
+        code = 0
     finally:
         os._exit(code)
-
-
-def _send(stream, record) -> None:
-    # flushed at once: os._exit flushes no buffer
-    marshal.dump(record, stream)
-    stream.flush()

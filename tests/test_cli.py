@@ -572,9 +572,10 @@ class TestVersionAndScript:
         assert "timing:" in proc.stderr
 
 
-def fresh_python(*argv, stdout=subprocess.PIPE, unbuffered=None):
+def fresh_python(*argv, stdout=subprocess.PIPE, unbuffered=None, closed=None):
     """Run a fresh interpreter that finds this package first.  unbuffered
-    sets (True) or unsets (False) PYTHONUNBUFFERED; None keeps ours."""
+    sets (True) or unsets (False) PYTHONUNBUFFERED; None keeps ours.  closed
+    names a file descriptor (1 or 2) that the interpreter starts without."""
     src = os.path.dirname(os.path.dirname(dualtoeplitz.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
@@ -588,6 +589,7 @@ def fresh_python(*argv, stdout=subprocess.PIPE, unbuffered=None):
         stderr=subprocess.PIPE,
         text=True,
         env=env,
+        preexec_fn=None if closed is None else lambda: os.close(closed),
     )
 
 
@@ -657,7 +659,7 @@ class TestExitPaths:
         assert proc.stderr.count("\n") == 1
 
     def test_crash_exits_3_with_its_traceback(self, unbuffered):
-        # a suite that raises, in whichever process claims it; os._exit is
+        # a suite that raises in the forked worker (radial); os._exit is
         # wrapped to check that every forked worker was reaped by then
         probe = textwrap.dedent(
             """
@@ -688,6 +690,46 @@ class TestExitPaths:
         assert "ZeroDivisionError" in proc.stderr
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+RANK_1 = ("rank", "--symbol", "z", "--N-max", "1")
+
+
+class TestClosedStreams:
+    """A process started with fd 1 or fd 2 closed has None for that stream.
+    Nothing meant for stderr may reach stdout, and a report with nowhere to
+    go exits 2, as one that cannot be written does."""
+
+    @staticmethod
+    def command(closed, *argv):
+        return fresh_python("-m", "dualtoeplitz.cli", *argv, closed=closed)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [RANK_1, ("verify", "--suite", "all", "--N-max", "2")],
+        ids=["rank", "verify-all"],
+    )
+    def test_closed_stdout_exits_2(self, argv):
+        proc = self.command(1, *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_closed_stderr_leaves_the_report_alone_on_stdout(self, capsys):
+        proc = self.command(2, *RANK_1)
+        code, out, _ = run_cli(capsys, *RANK_1)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [RANK_1[:-1] + ("0",), RANK_1[:-1] + ("two",)],
+        ids=["refused-bound", "parser-error"],
+    )
+    def test_closed_stderr_keeps_usage_errors_off_stdout(self, argv):
+        proc = self.command(2, *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
 
 class _Exited(Exception):

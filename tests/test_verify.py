@@ -1,7 +1,6 @@
 """The verification suites: every check still runs, and every one passes."""
 
 import os
-import time
 
 import pytest
 
@@ -105,11 +104,7 @@ def _wrap_suites(monkeypatch, here, worker):
         monkeypatch.setitem(verify._SUITES, name, run)
 
 
-# a share this slow here leaves the worker time to claim a suite
-SLOW_S = 0.3
-
-
-@pytest.mark.parametrize("n_max", [None, 2, 5])
+@pytest.mark.parametrize("n_max", [None, 2, 5, 12])
 def test_all_equals_each_suite_in_turn(n_max):
     assert _key(run_suites("all", n_max)) == _key(
         run_suite(name, n_max) for name in SUITE_NAMES
@@ -120,47 +115,49 @@ def test_failures_from_both_processes_merge_in_suite_order(monkeypatch):
     def inject(report):
         report.check(False, f"injected into {report.name} in {os.getpid()}")
 
-    def slow_inject(report):
-        time.sleep(SLOW_S)
-        inject(report)
-
     want = _key(run_suite(name, 2) for name in SUITE_NAMES)
-    _wrap_suites(monkeypatch, here=slow_inject, worker=inject)
+    _wrap_suites(monkeypatch, here=inject, worker=inject)
     reports = run_suites("all", 2)
-    pids = set()
+    ran_in = {}
     for (name, checks, failures), report in zip(want, reports):
         assert report.name == name and report.checks == checks + 1
         assert report.failures[:-1] == failures
         injected, pid = report.failures[-1].rsplit(" in ", 1)
         assert injected == f"injected into {name}"
-        pids.add(int(pid))
-    assert len(reports) == len(SUITE_NAMES) and len(pids) == 2
+        ran_in[name] = int(pid)
+    assert len(reports) == len(SUITE_NAMES)
+    # two-term here, and every worker suite in one other process
+    assert ran_in.pop("two-term") == os.getpid()
+    assert sorted(ran_in) == sorted(verify.WORKER_SUITES)
+    worker_pids = set(ran_in.values())
+    assert len(worker_pids) == 1 and os.getpid() not in worker_pids
 
 
 def test_a_suite_that_raises_in_the_worker_raises_here(monkeypatch):
     def fail(report):
         raise ValueError("a worker suite broke")
 
-    _wrap_suites(monkeypatch, here=lambda report: time.sleep(SLOW_S), worker=fail)
+    _wrap_suites(monkeypatch, here=lambda report: None, worker=fail)
     with pytest.raises(RuntimeError, match="ValueError: a worker suite broke"):
         run_suites("all", 2)
 
 
 def test_a_worker_that_dies_names_the_suites_it_did_not_report(monkeypatch):
     ran_here = []
-
-    def slow(report):
-        ran_here.append(report.name)
-        time.sleep(SLOW_S)
-
-    _wrap_suites(monkeypatch, here=slow, worker=lambda report: os._exit(3))
+    _wrap_suites(
+        monkeypatch,
+        here=lambda report: ran_here.append(report.name),
+        worker=lambda report: os._exit(3),
+    )
     with pytest.raises(RuntimeError) as info:
         run_suites("all", 2)
-    # the worker died in its first suite, and this process ran the rest
-    unreported = [name for name in SUITE_NAMES if name not in ran_here]
-    assert len(unreported) == 1
+    # the worker died in its first suite and reports all of its share
+    # together, so every worker suite is unreported
+    assert ran_here == ["two-term"]
     assert "status 3" in str(info.value)
-    assert str(info.value).endswith(f"did not report: {unreported[0]}")
+    assert str(info.value).endswith(
+        f"did not report: {', '.join(verify.WORKER_SUITES)}"
+    )
 
 
 def test_a_suite_that_raises_here_still_reaps_the_worker(monkeypatch):
@@ -186,7 +183,7 @@ def _failing_fork(monkeypatch):
 @pytest.mark.parametrize(
     "break_fork", [_no_fork, _failing_fork], ids=["absent", "failing"]
 )
-def test_without_fork_the_queue_drains_here(monkeypatch, break_fork):
+def test_without_fork_every_suite_runs_here_in_order(monkeypatch, break_fork):
     want = _key(run_suites("all", 2))
     ran_here = []
     _wrap_suites(
@@ -196,8 +193,10 @@ def test_without_fork_the_queue_drains_here(monkeypatch, break_fork):
     )
     break_fork(monkeypatch)
     assert _key(run_suites("all", 2)) == want
-    assert ran_here == list(verify.QUEUE_ORDER)
+    assert ran_here == list(SUITE_NAMES)
 
 
-def test_the_queue_holds_every_suite_once():
-    assert sorted(verify.QUEUE_ORDER) == sorted(SUITE_NAMES)
+def test_the_worker_runs_every_suite_but_two_term_once():
+    worker = verify.WORKER_SUITES
+    assert len(set(worker)) == len(worker)
+    assert set(worker) == set(SUITE_NAMES) - {"two-term"}
