@@ -53,7 +53,6 @@ _LAZY = dict.fromkeys(
         "GaussianRational",
         "Monomial",
         "as_scalar",
-        "bergman_project",
         "complement_project",
         "harmonic_project",
         "inner_product",

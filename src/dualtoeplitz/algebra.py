@@ -2,9 +2,8 @@
 
 An Element is a finite sum  sum c_{n,m} z^n conj(z)^m  held in canonical form
 (no zero coefficients).  The module provides the inner product of the
-area-normalized Bergman space of the disk and the three projections used
-throughout: the analytic Bergman projection, the projection onto the harmonic
-functions, and the projection onto their orthogonal complement.
+area-normalized Bergman space of the disk and the two projections used
+throughout: onto the harmonic functions and onto their orthogonal complement.
 """
 
 from __future__ import annotations
@@ -152,20 +151,6 @@ def norm_sq(f: Element) -> Fraction:
     """<f, f> as an exact nonnegative Fraction."""
     value = kernel.terms_inner(f._terms, f._terms)
     return value.re
-
-
-def bergman_project(f: Element) -> Element:
-    """Projection onto the analytic functions:
-    z^n conj(z)^m -> ((n-m+1)/(n+1)) z^(n-m) when n >= m, else 0."""
-    out: dict[tuple[int, int], GaussianRational] = {}
-    for (n, m), c in f._terms.items():
-        if n < m:
-            continue
-        key = (n - m, 0)
-        corr = c._mul_int_ratio(n - m + 1, n + 1)
-        acc = out.get(key)
-        out[key] = corr if acc is None else acc + corr
-    return Element._wrap({k: c for k, c in out.items() if not c.is_zero})
 
 
 def harmonic_project(f: Element) -> Element:

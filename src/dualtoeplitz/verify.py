@@ -21,18 +21,13 @@ Suite names:
                          conjugation swap, and the pairing and range-Gram
                          ranks the command line reports (even, equal to the
                          pairing's own rank and to the frozen pair grid).
-- ``all``                everything above, reported in that order; where
-                         ``os.fork`` exists this process runs ``two-term``
-                         and one forked worker the other four
-                         (``WORKER_SUITES``, see ``run_suites``).
+- ``all``                everything above, run one after another in this
+                         process and reported in that order.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
 from fractions import Fraction
-from typing import NoReturn
 
 from . import SUITE_NAMES
 from .algebra import Element
@@ -440,12 +435,6 @@ _SUITES = {
     "commutator-parity": _suite_commutator,
 }
 
-# the suites the forked worker runs for run_suites("all"); the caller runs
-# two-term, which needs no start-up.  In process two-term takes about 24 ms
-# and these four about 22 ms together (4.5, 5.4, 1.8 and 10.6 ms), so the
-# two shares end about together
-WORKER_SUITES = ("monomial", "harmonic", "radial", "commutator-parity")
-
 
 def run_suite(name: str, n_max: int | None = None) -> SuiteReport:
     """Run one named suite.  n_max overrides the suite's principal bound
@@ -460,85 +449,9 @@ def run_suite(name: str, n_max: int | None = None) -> SuiteReport:
 
 
 def run_suites(name: str, n_max: int | None = None) -> list[SuiteReport]:
-    """Run one suite, or all of them for name='all', reported in declaration
-    order.
-
-    For 'all' this forks one worker process where os.fork exists.  The
-    worker runs WORKER_SUITES and sends their reports back through a pipe
-    while this process runs two-term; the result is the same as running
-    every suite here in turn.  Without os.fork, or when the fork fails,
-    every suite runs here.  Forking a process that runs threads is unsafe,
-    so such a caller should call run_suite for each name instead.  A suite
-    that raises in the worker, or a worker that exits without reporting,
-    raises RuntimeError here.
-    """
+    """Run one suite, or all of them for name='all', one after another in
+    this process and reported in declaration order.  A suite that raises
+    propagates its own exception."""
     if name != "all":
         return [run_suite(name, n_max)]
-    if hasattr(os, "fork"):
-        reports = _run_with_worker(n_max)
-        if reports is not None:
-            return reports
     return [run_suite(s, n_max) for s in SUITE_NAMES]
-
-
-def _run_with_worker(n_max: int | None) -> list[SuiteReport] | None:
-    """Run two-term here and WORKER_SUITES in one forked worker; every report
-    in declaration order, or None if no process could be forked."""
-    results, sink = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        # no process to be had (a process limit, say)
-        os.close(results)
-        os.close(sink)
-        return None
-    if pid == 0:
-        _worker(results, sink, n_max)
-    os.close(sink)
-    try:
-        # if this share raises, the read end closes before the wait, so the
-        # worker cannot block on a full pipe
-        with os.fdopen(results, "rb") as stream:
-            reports = {
-                s: run_suite(s, n_max) for s in SUITE_NAMES if s not in WORKER_SUITES
-            }
-            try:
-                record = marshal.load(stream)
-            except EOFError:
-                record = []
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if isinstance(record, str):
-        raise RuntimeError(f"a suite raised in the worker process:\n{record}")
-    reports.update({n: SuiteReport(n, c, f) for n, c, f in record})
-    unreported = [s for s in WORKER_SUITES if s not in reports]
-    if unreported or status:
-        raise RuntimeError(
-            f"the worker process exited with status {status}; suites it "
-            f"did not report: {', '.join(unreported) or 'none'}"
-        )
-    return [reports[s] for s in SUITE_NAMES]
-
-
-def _worker(results: int, sink: int, n_max: int | None) -> NoReturn:
-    """The forked worker: write one record, the (name, checks, failures) of
-    each of WORKER_SUITES or the traceback of a suite that raises.  It ends
-    with os._exit whatever happens, so it never returns into the caller's
-    stack and runs no exit handler of the parent's; its status is 0 only
-    once the record is written."""
-    code = 1
-    try:
-        os.close(results)
-        try:
-            reports = [run_suite(s, n_max) for s in WORKER_SUITES]
-            record = [(r.name, r.checks, r.failures) for r in reports]
-        except Exception:
-            import traceback  # only a failing worker needs it
-
-            record = traceback.format_exc()
-        # closing flushes the record: os._exit flushes no buffer
-        with os.fdopen(sink, "wb") as stream:
-            marshal.dump(record, stream)
-        code = 0
-    finally:
-        os._exit(code)

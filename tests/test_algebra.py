@@ -11,7 +11,6 @@ from dualtoeplitz import (
     Element,
     GaussianRational,
     as_scalar,
-    bergman_project,
     complement_project,
     harmonic_project,
     inner_product,
@@ -407,19 +406,6 @@ class TestFactorForm:
 
 
 class TestProjections:
-    def test_analytic_projection_of_monomials(self):
-        # P(z^n zb^m) = ((n-m+1)/(n+1)) z^(n-m) for n >= m, else 0
-        for n in range(5):
-            for m in range(5):
-                p = bergman_project(Element.monomial(n, m))
-                if n >= m:
-                    expected = Element.monomial(
-                        n - m, 0, Fraction(n - m + 1, n + 1)
-                    )
-                    assert p == expected
-                else:
-                    assert p.is_zero
-
     @HYP
     @given(elements)
     def test_harmonic_plus_complement(self, f):

@@ -659,8 +659,8 @@ class TestExitPaths:
         assert proc.stderr.count("\n") == 1
 
     def test_crash_exits_3_with_its_traceback(self, unbuffered):
-        # a suite that raises in the forked worker (radial); os._exit is
-        # wrapped to check that every forked worker was reaped by then
+        # a suite that raises (radial) is reported with its own traceback;
+        # os._exit is wrapped to check that no child process is left by then
         probe = textwrap.dedent(
             """
             import os
@@ -688,6 +688,7 @@ class TestExitPaths:
         assert proc.stdout == ""
         assert proc.stderr.startswith("Traceback (most recent call last):")
         assert "ZeroDivisionError" in proc.stderr
+        assert "RuntimeError" not in proc.stderr
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -739,8 +740,8 @@ class _Exited(Exception):
 class TestRunInProcess:
     @pytest.fixture(autouse=True)
     def exit_raises(self, monkeypatch):
-        # no case runs verify --suite all, whose forked worker would raise
-        # this too instead of exiting
+        # os._exit raises in place of ending pytest, so each case reads the
+        # code; every command, verify --suite all too, runs in this process
         def exit_(code):
             raise _Exited(code)
 
@@ -765,6 +766,10 @@ class TestRunInProcess:
         monkeypatch.setattr(cli, "run_suites", fake_run_suites)
         assert self.code("verify", "--suite", "radial") == 1
         assert json.loads(capsys.readouterr().out)["result"]["passed"] is False
+
+    def test_verify_all(self, capsys):
+        assert self.code("verify", "--suite", "all", "--N-max", "2") == 0
+        assert json.loads(capsys.readouterr().out)["result"]["passed"] is True
 
     def test_help(self, capsys):
         assert self.code("--help") == 0
@@ -915,9 +920,9 @@ class TestLoadSet:
         for name in self.NEVER:
             assert name not in modules
 
-    def test_verify_all_forks_its_worker_without_a_process_pool(self):
-        # the worker is forked and reports through a pipe with os and
-        # marshal alone; importing multiprocessing takes about 8 ms
+    def test_verify_all_loads_no_process_pool(self):
+        # every suite runs in this process; importing multiprocessing alone
+        # takes about 8 ms
         proc, modules = self.loaded("verify", "--suite", "all")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"]["passed"] is True

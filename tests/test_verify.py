@@ -11,8 +11,8 @@ from dualtoeplitz.verify import SUITE_NAMES, run_suite, run_suites
 
 @pytest.fixture(autouse=True)
 def no_process_left():
-    # run_suites("all") forks a worker; it must be reaped however the call
-    # ends
+    # the suites run in this process: however a call ends, it leaves no
+    # child process behind
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -91,19 +91,6 @@ def _key(reports):
     return [(r.name, r.checks, r.failures) for r in reports]
 
 
-def _wrap_suites(monkeypatch, here, worker):
-    """After each suite, call here(report) in this process, or worker(report)
-    in the forked worker, whichever ran it."""
-    pid = os.getpid()
-    for name, suite in list(verify._SUITES.items()):
-        def run(n_max, suite=suite):
-            report = suite(n_max)
-            (here if os.getpid() == pid else worker)(report)
-            return report
-
-        monkeypatch.setitem(verify._SUITES, name, run)
-
-
 @pytest.mark.parametrize("n_max", [None, 2, 5, 12])
 def test_all_equals_each_suite_in_turn(n_max):
     assert _key(run_suites("all", n_max)) == _key(
@@ -111,92 +98,36 @@ def test_all_equals_each_suite_in_turn(n_max):
     )
 
 
-def test_failures_from_both_processes_merge_in_suite_order(monkeypatch):
-    def inject(report):
-        report.check(False, f"injected into {report.name} in {os.getpid()}")
+def _record_suites(monkeypatch, ran, fail=None):
+    """Append (name, pid) to ran as each suite starts; the suite named fail
+    raises ZeroDivisionError in place of running."""
+    for name, suite in list(verify._SUITES.items()):
+        def run(n_max, name=name, suite=suite):
+            ran.append((name, os.getpid()))
+            if name == fail:
+                raise ZeroDivisionError(f"{name} broke")
+            return suite(n_max)
 
-    want = _key(run_suite(name, 2) for name in SUITE_NAMES)
-    _wrap_suites(monkeypatch, here=inject, worker=inject)
-    reports = run_suites("all", 2)
-    ran_in = {}
-    for (name, checks, failures), report in zip(want, reports):
-        assert report.name == name and report.checks == checks + 1
-        assert report.failures[:-1] == failures
-        injected, pid = report.failures[-1].rsplit(" in ", 1)
-        assert injected == f"injected into {name}"
-        ran_in[name] = int(pid)
-    assert len(reports) == len(SUITE_NAMES)
-    # two-term here, and every worker suite in one other process
-    assert ran_in.pop("two-term") == os.getpid()
-    assert sorted(ran_in) == sorted(verify.WORKER_SUITES)
-    worker_pids = set(ran_in.values())
-    assert len(worker_pids) == 1 and os.getpid() not in worker_pids
+        monkeypatch.setitem(verify._SUITES, name, run)
 
 
-def test_a_suite_that_raises_in_the_worker_raises_here(monkeypatch):
-    def fail(report):
-        raise ValueError("a worker suite broke")
+def test_all_runs_every_suite_here_in_order(monkeypatch):
+    want = _key(run_suites("all", 2))
 
-    _wrap_suites(monkeypatch, here=lambda report: None, worker=fail)
-    with pytest.raises(RuntimeError, match="ValueError: a worker suite broke"):
-        run_suites("all", 2)
-
-
-def test_a_worker_that_dies_names_the_suites_it_did_not_report(monkeypatch):
-    ran_here = []
-    _wrap_suites(
-        monkeypatch,
-        here=lambda report: ran_here.append(report.name),
-        worker=lambda report: os._exit(3),
-    )
-    with pytest.raises(RuntimeError) as info:
-        run_suites("all", 2)
-    # the worker died in its first suite and reports all of its share
-    # together, so every worker suite is unreported
-    assert ran_here == ["two-term"]
-    assert "status 3" in str(info.value)
-    assert str(info.value).endswith(
-        f"did not report: {', '.join(verify.WORKER_SUITES)}"
-    )
-
-
-def test_a_suite_that_raises_here_still_reaps_the_worker(monkeypatch):
-    def fail(report):
-        raise ValueError("a suite broke here")
-
-    _wrap_suites(monkeypatch, here=fail, worker=lambda report: None)
-    with pytest.raises(ValueError, match="a suite broke here"):
-        run_suites("all", 2)
-
-
-def _no_fork(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-
-
-def _failing_fork(monkeypatch):
     def fork():
-        raise BlockingIOError("fork: resource temporarily unavailable")
+        raise AssertionError("run_suites forked")
 
     monkeypatch.setattr(os, "fork", fork)
-
-
-@pytest.mark.parametrize(
-    "break_fork", [_no_fork, _failing_fork], ids=["absent", "failing"]
-)
-def test_without_fork_every_suite_runs_here_in_order(monkeypatch, break_fork):
-    want = _key(run_suites("all", 2))
-    ran_here = []
-    _wrap_suites(
-        monkeypatch,
-        here=lambda report: ran_here.append(report.name),
-        worker=lambda report: os._exit(3),
-    )
-    break_fork(monkeypatch)
+    ran = []
+    _record_suites(monkeypatch, ran)
     assert _key(run_suites("all", 2)) == want
-    assert ran_here == list(SUITE_NAMES)
+    assert ran == [(name, os.getpid()) for name in SUITE_NAMES]
 
 
-def test_the_worker_runs_every_suite_but_two_term_once():
-    worker = verify.WORKER_SUITES
-    assert len(set(worker)) == len(worker)
-    assert set(worker) == set(SUITE_NAMES) - {"two-term"}
+def test_a_suite_that_raises_propagates_its_own_exception(monkeypatch):
+    ran = []
+    _record_suites(monkeypatch, ran, fail="radial")
+    with pytest.raises(ZeroDivisionError, match="radial broke"):
+        run_suites("all", 2)
+    # every suite up to it started, and none after it
+    assert [name for name, _ in ran] == list(SUITE_NAMES[:4])
