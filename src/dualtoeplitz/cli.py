@@ -278,13 +278,6 @@ def _cmd_rank(args) -> tuple[str, int]:
     return _document("rank", inputs, {"table": table}), 0
 
 
-def run_suites(suite: str, n_max: int | None) -> list:
-    """verify.run_suites, loaded here: no other command needs the suites."""
-    from .verify import run_suites
-
-    return run_suites(suite, n_max)
-
-
 def _cmd_verify(args) -> tuple[str, int]:
     if args.n_max is not None:
         if args.n_max < 1:
@@ -298,6 +291,8 @@ def _cmd_verify(args) -> tuple[str, int]:
                 f"--N-max must be >= {low} for --suite {args.suite}: "
                 "a smaller bound cannot check its grid"
             )
+    from .verify import run_suites
+
     reports = run_suites(args.suite, args.n_max)
     result = {
         "suites": [

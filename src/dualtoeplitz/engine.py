@@ -43,9 +43,10 @@ different frequencies are orthogonal.
 
 Assembly is also incremental in the order.  The basis of order N - 1 is part
 of the basis of order N, and neither a factor column nor a half depends on
-N.  The assemblies keep them by exponent pair, and the selection of
-independent columns grows with the order, so a run over orders 1..N (the
-certificate search, the rank table) computes each once.  Entries and images
+N.  The assemblies keep the halves by exponent pair, and each factor keeps
+its selection of independent columns, which grows with the order, so a run
+over orders 1..N (the certificate search, the rank table) computes each
+half once and reduces each column once.  Entries and images
 are formed for the matrix of one order, and the matrix stores the nonzero
 entries alone: a computed entry that cancels to an exact zero is dropped,
 so its checks, rank and report visit only what is stored.
@@ -105,7 +106,7 @@ an Echelon over their terms.  S grows with the order like the column
 echelon, so that Echelon grows along S too and takes each image once.
 Images are formed only for the range Gram and for S.
 
-Each image comes from the halves the factors already hold.  The halves
+Each image comes from the halves the assembly already keeps.  The halves
 Q(phi e_j) and Q(psi e_j), read as sums of the h_d, are multiplied by the
 other symbol and projected, two one-pass _kernel.terms_apply calls, so an
 image needs no basis vector and no product with the whole of e_j.
@@ -113,6 +114,7 @@ image needs no basis vector and no product with the whole of e_j.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -256,18 +258,18 @@ def _harmonic_terms(half: Half) -> dict[Pair, GaussianRational]:
 
 class _HarmonicFactor:
     """The stacked columns (Q(first e), Q(second e)) of the basis vectors,
-    kept by exponent pair, and a maximal independent set of them that grows
-    with the order.
+    and a maximal independent set of them that grows with the order.
 
-    first and second give a half from an exponent pair: a _Projection or
-    its mirror.  A column holds the coefficient of h_d in Q(first e) under
-    the key 2d and in Q(second e) under 2d + 1: at most one key per term of
-    each symbol.
+    first and second give a half from an exponent pair: a _Projection, which
+    keeps each half by pair, or its mirror.  A column holds the coefficient
+    of h_d in Q(first e) under the key 2d and in Q(second e) under 2d + 1: at
+    most one key per term of each symbol, and it is rebuilt from the halves
+    when asked for.
     One Echelon takes each order's new exponent pairs (max(n, m) = N) once,
     in basis order, with no basis built.  Its pivots never change once made,
-    so the pivots, chosen pairs and column keys of any order reached are
-    prefixes of the current ones, and the set chosen at order N contains the
-    one chosen at N - 1.
+    so the pivots and the chosen columns of any order reached are prefixes
+    of the current ones, and the set chosen at order N contains the one
+    chosen at N - 1.  The factor keeps the chosen columns with their pairs.
 
     The selection is graded by frequency (module docstring): each column
     first goes to a small Echelon of the columns with its n - m, and only
@@ -279,15 +281,13 @@ class _HarmonicFactor:
     ):
         self._first = first
         self._second = second
-        self._memo: dict[Pair, Column] = {}
         self.echelon = Echelon()
         # n - m -> the echelon of the columns of that frequency
         self._graded: defaultdict[int, Echelon] = defaultdict(Echelon)
-        self._chosen: list[Pair] = []
-        # keys held by the columns, in order of appearance
-        self._keys: dict[int, None] = {}
-        # per order 1, 2, ...: (pairs chosen, keys held) through that order
-        self._sizes: list[tuple[int, int]] = []
+        # (pair, column) of each chosen column, in the order chosen
+        self._chosen: list[tuple[Pair, Column]] = []
+        # the highest order taken
+        self._order = 0
 
     def _column(self, n: int, m: int) -> Column:
         out = {2 * d: c for d, c in self._first(n, m).items()}
@@ -296,29 +296,21 @@ class _HarmonicFactor:
         return out
 
     def columns(self, pairs: Sequence[Pair]) -> list[Column]:
-        """The columns of the exponent pairs, in their order, each computed
-        once."""
-        memo = self._memo
-        out = []
-        for pair in pairs:
-            column = memo.get(pair)
-            if column is None:
-                column = memo[pair] = self._column(*pair)
-            out.append(column)
-        return out
+        """The columns of the exponent pairs, in their order."""
+        return [self._column(*pair) for pair in pairs]
 
-    def selection(self, order: int) -> tuple[list[Pair], list[int]]:
-        """The chosen exponent pairs and the column keys at this order."""
+    def selection(self, order: int) -> list[tuple[Pair, Column]]:
+        """The chosen exponent pairs with max(n, m) <= order and their
+        columns, in the order chosen."""
         graded = self._graded
-        while len(self._sizes) < order:
-            new = _new_pairs(len(self._sizes) + 1)
-            for (n, m), column in zip(new, self.columns(new)):
-                self._keys.update(dict.fromkeys(column))
+        while self._order < order:
+            self._order += 1
+            for n, m in _new_pairs(self._order):
+                column = self._column(n, m)
                 if graded[n - m].add(column) and self.echelon.add(column):
-                    self._chosen.append((n, m))
-            self._sizes.append((len(self._chosen), len(self._keys)))
-        chosen, keys = self._sizes[order - 1]
-        return self._chosen[:chosen], list(self._keys)[:keys]
+                    self._chosen.append(((n, m), column))
+        chosen = self._chosen
+        return chosen[: bisect_right(chosen, order, key=lambda entry: max(entry[0]))]
 
 
 def _inverse_weight(key: int) -> int:
@@ -369,9 +361,12 @@ class _FactoredForm:
 
     def factors(self, order: int) -> tuple[list[Column], list[Column]]:
         """The columns C_j and the rows R_i in basis order, keyed as in the
-        module docstring."""
+        module docstring: one list when the two are one factor."""
         pairs = exponent_pairs(_order(order))
-        return self._columns.columns(pairs), self._rows.columns(pairs)
+        columns = self._columns.columns(pairs)
+        if self._rows is self._columns:
+            return columns, columns
+        return columns, self._rows.columns(pairs)
 
     def matrix(self, order: int) -> ExactMatrix:
         """The matrix with entries <C_j, R_i>_G (_kernel.factor_form)."""
@@ -387,14 +382,11 @@ class _FactoredForm:
         """Rank of the matrix at this order, from the factors' echelons alone
         (module docstring)."""
         order = _order(order)
-        chosen, column_keys = self._columns.selection(order)
-        row_chosen, row_keys = self._rows.selection(order)
         return factored_rank(
             self._columns.echelon,
-            len(chosen),
+            len(self._columns.selection(order)),
             self._rows.echelon,
-            len(row_chosen),
-            list(dict.fromkeys(row_keys + column_keys)),
+            len(self._rows.selection(order)),
             _inverse_weight,
         )
 
@@ -404,7 +396,7 @@ class SelfcommAssembly(_FactoredForm):
     and their ranks, from the factor M taken as both C and R.
 
     One selection of independent columns grows with the order, so a run
-    over orders 1..N computes each factor column once.
+    over orders 1..N reduces each factor column once.
     """
 
     def __init__(self, phi: Element):
@@ -421,10 +413,10 @@ class SelfcommAssembly(_FactoredForm):
         with the order, so each order checks its new columns against the
         ones before them, and the checked prefix advances when a whole order
         passes."""
-        chosen, _ = self._columns.selection(_order(order))
+        chosen = self._columns.selection(_order(order))
         if len(chosen) <= self._checked:
             return True
-        columns = self._columns.columns(chosen)
+        columns = [column for _, column in chosen]
         for s in range(self._checked, len(chosen)):
             column = columns[s]
             for t in range(s + 1):
@@ -449,8 +441,6 @@ class CommutatorAssembly(_FactoredForm):
     docstring)."""
 
     def __init__(self, phi: Element, psi: Element):
-        self._phi = phi._terms
-        self._psi = psi._terms
         # B = R^H G C with C_j = (Q(phi e_j), Q(psi e_j)) and
         # R_i = (Q(conj(psi) e_i), Q(conj(phi) e_i))
         self._q_phi = q_phi = _Projection(phi)
@@ -466,13 +456,14 @@ class CommutatorAssembly(_FactoredForm):
     def _images(self, pairs: Sequence[Pair]) -> list[Element]:
         """The images w_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)) of the
         exponent pairs, from the halves (module docstring)."""
+        q_phi, q_psi = self._q_phi, self._q_psi
         out = []
         for pair in pairs:
-            h_phi = _harmonic_terms(self._q_phi(*pair))
-            h_psi = _harmonic_terms(self._q_psi(*pair))
-            terms = kernel.terms_apply(self._psi, h_phi)
+            h_phi = _harmonic_terms(q_phi(*pair))
+            h_psi = _harmonic_terms(q_psi(*pair))
+            terms = kernel.terms_apply(q_psi._terms, h_phi)
             kernel.terms_sub_scaled(
-                terms, kernel.terms_apply(self._phi, h_psi), kernel.GR_ONE
+                terms, kernel.terms_apply(q_phi._terms, h_psi), kernel.GR_ONE
             )
             out.append(Element._wrap(terms))
         return out
@@ -498,10 +489,10 @@ class CommutatorAssembly(_FactoredForm):
         of S at order N, so one span echelon grows along S and each image is
         reduced once over a run of orders."""
         pairing_rank = self.rank(order)
-        chosen, _ = self._columns.selection(order)
+        chosen = self._columns.selection(order)
         sizes = self._span_sizes
         if len(sizes) <= len(chosen):
-            for w in self._images(chosen[len(sizes) - 1 :]):
+            for w in self._images([pair for pair, _ in chosen[len(sizes) - 1 :]]):
                 self._span.add(w._terms)
                 sizes.append(len(self._span.pivots))
         return pairing_rank, sizes[len(chosen)]

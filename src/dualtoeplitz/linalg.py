@@ -34,8 +34,8 @@ one Echelon: the route that does not go through a factorization.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, NamedTuple
 
 from ._kernel import (
     GR_ONE as _ONE,
@@ -204,25 +204,36 @@ def factored_rank(
     count: int,
     rows: Echelon,
     row_count: int,
-    keys: Sequence,
     inverse_weight: Callable[[object], int],
 ) -> int:
     """rank R^H G C for a real diagonal G, from the echelons of C's and R's
     columns.
 
     V_C = range C is spanned by the first ``count`` pivots of ``columns`` and
-    V_R = range R by the first ``row_count`` of ``rows``; ``keys`` holds every
-    key that the columns of either factor hold, and
+    V_R = range R by the first ``row_count`` of ``rows``, and
     G^-1 = diag(inverse_weight(key)), nonzero ints.  Then
 
         rank R^H G C = dim(V_C + G^-1 V_R^perp) - dim V_R^perp,
 
     found by adding G^-1 times the complement basis of V_R
     (Echelon.complement) to a copy of V_C's pivots.
+
+    The complement is taken over K, the union of the supports of the pivots
+    used.  The first ``count`` pivots span every column the echelon took
+    before its next pivot (in the engine, every column through the order),
+    and likewise the rows', so K holds every key of either factor, and the
+    proof (module docstring) holds in the coordinates K.  A larger K gives
+    the same rank: a key k outside both factors adds e_k to V_R^perp, and
+    G^-1 e_k lies outside V_C + G^-1 V_R^perp, so it adds one to each term.
     """
+    pivots = dict(islice(columns.pivots.items(), count))
+    keys: dict = {}
+    for lead, pivot in chain(pivots.items(), islice(rows.pivots.items(), row_count)):
+        keys[lead] = None
+        keys.update(dict.fromkeys(pivot))
     span = Echelon()
     # add makes new pivot dicts and never changes old ones, so sharing is safe
-    span.pivots = dict(islice(columns.pivots.items(), count))
+    span.pivots = pivots
     complement = rows.complement(keys, row_count)
     for y in complement:
         span.add({key: c * inverse_weight(key) for key, c in y.items()})

@@ -211,31 +211,20 @@ def format_element(e: Element) -> str:
     """Canonical symbol string; parse_symbol inverts it exactly."""
     if e.is_zero:
         return "0"
-    pieces = []
+    out = []
     for mono, c in e.terms():
         body = _monomial_str(mono.n, mono.m)
+        sign = "+"
         if not c.is_real:
-            text = "(%s)" % format_scalar(c)
-            if body:
-                text += " " + body
-            pieces.append(("+", text))
-            continue
-        r = c.re
-        sign = "-" if r < 0 else "+"
-        mag = -r if r < 0 else r
-        if body and mag == 1:
-            pieces.append((sign, body))
-        elif body:
-            pieces.append((sign, "%s %s" % (format_rational(mag), body)))
+            coef = "(%s)" % format_scalar(c)
+        elif not out and c.re < 0:
+            # print the first term's signed rational, not a leading minus
+            coef = format_rational(c.re)
         else:
-            pieces.append((sign, format_rational(mag)))
-    sign, first = pieces[0]
-    if sign == "-":
-        # print the signed rational explicitly, not the leading minus
-        mono, c = next(e.terms())
-        body = _monomial_str(mono.n, mono.m)
-        first = format_rational(c.re) + (" " + body if body else "")
-    out = [first]
-    for sign, body in pieces[1:]:
-        out.append(" %s %s" % (sign, body))
+            mag = c.re
+            if mag < 0:
+                sign, mag = "-", -mag
+            coef = "" if body and mag == 1 else format_rational(mag)
+        text = "%s %s" % (coef, body) if coef and body else coef or body
+        out.append(" %s %s" % (sign, text) if out else text)
     return "".join(out)

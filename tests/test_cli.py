@@ -417,7 +417,7 @@ class TestVerifyCommand:
             report.check(False, "forced failure for the exit-code path")
             return [report]
 
-        monkeypatch.setattr(cli, "run_suites", fake_run_suites)
+        monkeypatch.setattr("dualtoeplitz.verify.run_suites", fake_run_suites)
         code, out, err = run_cli(capsys, "verify", "--suite", "radial")
         assert code == 1
         doc = json.loads(out)
@@ -448,7 +448,7 @@ class TestVerifyCommand:
         def no_suites(*args):
             raise AssertionError("the suites ran")
 
-        monkeypatch.setattr(cli, "run_suites", no_suites)
+        monkeypatch.setattr("dualtoeplitz.verify.run_suites", no_suites)
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--N-max", "1")
         assert code == 2
         assert out == ""
@@ -763,7 +763,7 @@ class TestRunInProcess:
             report.check(False, "forced failure for the exit-code path")
             return [report]
 
-        monkeypatch.setattr(cli, "run_suites", fake_run_suites)
+        monkeypatch.setattr("dualtoeplitz.verify.run_suites", fake_run_suites)
         assert self.code("verify", "--suite", "radial") == 1
         assert json.loads(capsys.readouterr().out)["result"]["passed"] is False
 

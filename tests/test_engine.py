@@ -879,8 +879,7 @@ def _fresh_rank(columns):
     """The factored rank from a fresh echelon over these columns in order."""
     echelon = Echelon()
     count = sum(echelon.add(column) for column in columns)
-    keys = sorted({key for column in columns for key in column})
-    return factored_rank(echelon, count, echelon, count, keys, _inverse_weight)
+    return factored_rank(echelon, count, echelon, count, _inverse_weight)
 
 
 class TestFactorForm:
@@ -989,6 +988,25 @@ class TestFactorForm:
             fresh = CommutatorAssembly(phi, psi)
             b, gram = fresh.pairing(order), fresh.range_gram(order)
             assert pair.ranks(order) == (rank(b), rank(gram))
+
+    @HYP
+    @given(factor_symbols)
+    @example(parse_symbol(WIDE_TOP))
+    @example(parse_symbol("(3/5-4/5i) z^2 zb + 2 zb + (1-2i)"))
+    def test_rank_is_even_at_every_order(self, phi):
+        # q(phi, conj(f)) = -q(phi, f) and conjugation permutes the basis
+        # (P A P = -conj(A)), so the form takes as many positive as negative
+        # directions and its rank n+ + n- = 2 n+ is even
+        forms = SelfcommAssembly(phi)
+        for order in range(1, 7):
+            assert forms.rank(order) % 2 == 0
+
+    def test_rank_table_is_even_through_order_24(self):
+        # the rank table's symbol, with its rows 68 and 100 pinned
+        forms = SelfcommAssembly(parse_symbol("zb^2 + z + z^3 zb"))
+        table = [forms.rank(order) for order in range(1, 25)]
+        assert all(r % 2 == 0 for r in table)
+        assert (table[15], table[23]) == (68, 100)
 
     def test_large_order_rank_pinned(self):
         # 4N + 4 at N = 24 (rank 100 of 576), first found as the whole-matrix
@@ -1102,14 +1120,15 @@ class TestClosedFormColumns:
         q_phi, q_psi = _Projection(phi), _Projection(psi)
         for first, second in ((q_phi.mirror, q_phi), (q_phi, q_psi)):
             factor = _HarmonicFactor(first, second)
-            chosen, keys = factor.selection(8)
+            chosen = factor.selection(8)
             plain = Echelon()
             columns = factor.columns(pairs)
             assert chosen == [
-                pair for pair, column in zip(pairs, columns) if plain.add(column)
+                (pair, column)
+                for pair, column in zip(pairs, columns)
+                if plain.add(column)
             ]
             assert factor.echelon.pivots == plain.pivots
-            assert keys == list(dict.fromkeys(k for c in columns for k in c))
 
     def test_each_half_is_computed_once_per_pair(self, monkeypatch):
         # the conjugate symbols' halves are mirrors, so order N takes N^2

@@ -469,6 +469,11 @@ class TestEchelonComplement:
     # entries rarely cancel, so these pin which of the two the rank uses
     @example([{-3: gr(1), -2: gr(1), -1: gr(1)}], None, [2, -1, 2, 1, 1, 1, 1])
     @example([{-3: gr(2), -2: gr(1)}], [{-3: gr(1), -2: gr(1)}], [2, -1, 1, 1, 1, 1, 1])
+    # the complement runs over the keys of both factors' pivots: a column key
+    # that no row pivot touches (leaving it out would give rank 2), and a
+    # row key that no column touches, which adds one to each term
+    @example([{-3: gr(1)}, {1: gr(1)}], [{-3: gr(1)}], [2, 1, 1, 1, 3, 1, 1])
+    @example([{-3: gr(1)}], [{-3: gr(1), 2: gr(1)}], [2, 1, 1, 1, 1, -3, 1])
     def test_factored_rank(self, columns, rows, weights):
         # rows=None is the Hermitian case R = C, with one echelon passed twice
         inverse_weight = {k: weights[k + 3] for k in range(-3, 4)}
@@ -481,7 +486,7 @@ class TestEchelonComplement:
             row_count = sum(row_echelon.add(row) for row in rows)
         keys = sorted({k for factor in (columns, rows) for c in factor for k in c})
         got = factored_rank(
-            echelon, count, row_echelon, row_count, keys, inverse_weight.__getitem__
+            echelon, count, row_echelon, row_count, inverse_weight.__getitem__
         )
         # R^H G C with G = diag(1 / inverse_weight), in Fraction pairs
         form = [
