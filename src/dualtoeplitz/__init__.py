@@ -88,6 +88,7 @@ _LAZY = dict.fromkeys(
     "engine",
 ) | dict.fromkeys(
     (
+        "ExactMatrix",
         "HermitianForm",
         "PsdResult",
         "form_value",
@@ -96,11 +97,6 @@ _LAZY = dict.fromkeys(
         "rank",
     ),
     "linalg",
-) | dict.fromkeys(
-    (
-        "ExactMatrix",
-    ),
-    "matrix",
 ) | dict.fromkeys(
     (
         "ParseError",

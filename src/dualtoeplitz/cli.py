@@ -18,8 +18,9 @@ passed, 1 verification failure, 2 usage or parse error, or an ``--out``
 file or stdout that cannot be written, 3 an exception inside a command
 (its traceback goes to stderr).
 
-``main`` returns the exit code, for callers in the same process.  ``run``,
-the process entry point, calls it, flushes the output and ends with
+``main`` returns the exit code, for callers in the same process, and lets
+an exception inside a command propagate.  ``run``, the process entry point,
+calls it, flushes the output and ends with
 ``os._exit``: a command's process has nothing left to do, and interpreter
 teardown (clearing the modules, freeing every object, a last collection)
 would cost several milliseconds of every command.
@@ -38,8 +39,8 @@ and its text found again by identity.  The CSV dump takes the same rows.
 The parser needs only the package's constants, so the arguments are parsed
 before any computing module loads, and each command imports what it runs:
 ``--help`` and a usage error compile none of them, ``rank`` and ``matrix``
-skip the classifier, and ``inner-product`` loads only the scalars, the
-element algebra and the symbol parser.
+skip the classifier, and ``inner-product`` loads only the algebra and the
+symbol parser.
 """
 
 from __future__ import annotations
@@ -62,7 +63,18 @@ from . import (
 
 
 class UsageError(Exception):
-    """Bad flag combination or out-of-range argument (exit code 2)."""
+    """Bad flag combination, out-of-range argument or a symbol argument
+    that does not parse (exit code 2)."""
+
+
+def _symbol(text: str):
+    """The element a --symbol or --symbol2 argument names."""
+    from .symbols import ParseError, parse_symbol
+
+    try:
+        return parse_symbol(text)
+    except ParseError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _element_payload(e) -> dict:
@@ -80,7 +92,7 @@ def _entry_rows(a, encode) -> list[list[str]]:
     The assembled matrices share their entry objects (the real mirror
     entries below the diagonal), so each distinct object is formatted once
     and found again by its identity."""
-    from ._kernel import GR_ZERO
+    from .algebra import GR_ZERO
     from .symbols import format_scalar
 
     zero = encode(format_scalar(GR_ZERO))
@@ -154,9 +166,9 @@ def _cmd_classify(args) -> tuple[str, int]:
     if args.n_max < 1:
         raise UsageError("--N-max must be >= 1")
     from .classify import classify
-    from .symbols import format_element, parse_symbol
+    from .symbols import format_element
 
-    phi = parse_symbol(args.symbol)
+    phi = _symbol(args.symbol)
     verdict = classify(phi, args.n_max)
     result = {
         "status": verdict.status.value,
@@ -192,9 +204,8 @@ def _cmd_matrix(args) -> tuple[str, int]:
         swap_permutation,
     )
     from .linalg import is_antisymmetric
-    from .symbols import parse_symbol
 
-    phi = parse_symbol(args.symbol)
+    phi = _symbol(args.symbol)
     pairs = exponent_pairs(args.N)
     if args.kind == "selfcomm":
         if args.symbol2 is not None:
@@ -210,7 +221,7 @@ def _cmd_matrix(args) -> tuple[str, int]:
     else:
         if args.symbol2 is None:
             raise UsageError("commutator kind needs --symbol2")
-        pair = CommutatorAssembly(phi, parse_symbol(args.symbol2))
+        pair = CommutatorAssembly(phi, _symbol(args.symbol2))
         a = pair.pairing(args.N)
         r, gram_rank = pair.ranks(args.N)
         diagnostics = {
@@ -256,9 +267,8 @@ def _cmd_rank(args) -> tuple[str, int]:
     if args.n_max < 1:
         raise UsageError("--N-max must be >= 1")
     from .engine import CommutatorAssembly, SelfcommAssembly
-    from .symbols import parse_symbol
 
-    phi = parse_symbol(args.symbol)
+    phi = _symbol(args.symbol)
     table = []
     if args.symbol2 is None:
         forms = SelfcommAssembly(phi)
@@ -266,7 +276,7 @@ def _cmd_rank(args) -> tuple[str, int]:
             table.append({"N": order, "rank": forms.rank(order)})
         inputs = {"symbol": args.symbol, "N_max": args.n_max}
     else:
-        pair = CommutatorAssembly(phi, parse_symbol(args.symbol2))
+        pair = CommutatorAssembly(phi, _symbol(args.symbol2))
         for order in range(1, args.n_max + 1):
             r, gram_rank = pair.ranks(order)
             table.append({"N": order, "rank": r, "gram_rank": gram_rank})
@@ -313,10 +323,9 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def _cmd_apply(args) -> tuple[str, int]:
     from .engine import apply
-    from .symbols import parse_symbol
 
-    phi = parse_symbol(args.symbol)
-    f = parse_symbol(args.symbol2)
+    phi = _symbol(args.symbol)
+    f = _symbol(args.symbol2)
     result = {"element": _element_payload(apply(phi, f))}
     inputs = {"symbol": args.symbol, "symbol2": args.symbol2}
     return _document("apply", inputs, result), 0
@@ -324,10 +333,10 @@ def _cmd_apply(args) -> tuple[str, int]:
 
 def _cmd_inner_product(args) -> tuple[str, int]:
     from .algebra import inner_product
-    from .symbols import format_scalar, parse_symbol
+    from .symbols import format_scalar
 
-    f = parse_symbol(args.symbol)
-    g = parse_symbol(args.symbol2)
+    f = _symbol(args.symbol)
+    g = _symbol(args.symbol2)
     result = {"value": format_scalar(inner_product(f, g))}
     inputs = {"symbol": args.symbol, "symbol2": args.symbol2}
     return _document("inner-product", inputs, result), 0
@@ -392,7 +401,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         payload, code = args.func(args)
-    except (UsageError, ValueError) as exc:  # ParseError is a ValueError
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

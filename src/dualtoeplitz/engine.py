@@ -19,7 +19,7 @@ So A = M^H G M with G diagonal, entries +-1/(|d|+1), and the factor column
 M_j = (Q(conj(phi) e_j), Q(phi e_j)) stored as {2d: coefficient of h_d in the
 first half, 2d + 1: in the second}: at most one key per term of each symbol.
 Every entry is the short dot product A[i][j] = <M_j, M_i>_G
-(_kernel.factor_form), and the images S_phi e_j are never formed.
+(factor_form), and the images S_phi e_j are never formed.
 
 The commutator factors the same way.  With P the complement projection,
 w_j = [S_phi, S_psi] e_j = P(psi Q(phi e_j)) - P(phi Q(psi e_j)), and
@@ -64,7 +64,7 @@ Each column has a closed form in its exponent pair.  With
 e_{n,m} = z^n conj(z)^m - k h_{n-m}, k = (|n-m|+1)/(max(n,m)+1), a term
 c z^a conj(z)^b of a symbol adds to h_d, d = a - b + n - m, the amount
 c (|d|+1) [1/(max(n+a, m+b)+1) - k/(max(a+p, b+q)+1)] with p = max(n-m, 0)
-and q = max(m-n, 0) (_kernel.terms_harmonic_factor).  So no run of orders
+and q = max(m-n, 0) (algebra.terms_harmonic_factor).  So no run of orders
 (ranks, the screen below, the form matrix, the pairing) projects or builds
 a basis.
 
@@ -108,7 +108,7 @@ Images are formed only for the range Gram and for S.
 
 Each image comes from the halves the assembly already keeps.  The halves
 Q(phi e_j) and Q(psi e_j), read as sums of the h_d, are multiplied by the
-other symbol and projected, two one-pass _kernel.terms_apply calls, so an
+other symbol and projected, two one-pass algebra.terms_apply calls, so an
 image needs no basis vector and no product with the whole of e_j.
 """
 
@@ -119,10 +119,19 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from . import _kernel as kernel
-from .algebra import Element, GaussianRational, complement_project, inner_product
-from .linalg import Echelon, factored_rank
-from .matrix import ExactMatrix
+from .algebra import (
+    GR_ONE,
+    GR_ZERO,
+    Element,
+    GaussianRational,
+    _norm,
+    complement_project,
+    inner_product,
+    terms_apply,
+    terms_harmonic_factor,
+    terms_sub_scaled,
+)
+from .linalg import Echelon, ExactMatrix, factored_rank
 
 # a factor column: {key: coefficient}, keyed as in the module docstring
 Column = dict[int, GaussianRational]
@@ -130,7 +139,7 @@ Column = dict[int, GaussianRational]
 
 def apply(phi: Element, f: Element) -> Element:
     """S_phi f: complement projection of the pointwise product phi*f."""
-    return Element._wrap(kernel.terms_apply(phi._terms, f._terms))
+    return Element._wrap(terms_apply(phi._terms, f._terms))
 
 
 def test_vector(k: int) -> Element:
@@ -230,7 +239,7 @@ Half = dict[int, GaussianRational]
 
 class _Projection:
     """Q(phi e_{n,m}) of one symbol from the exponent pair in closed form
-    (_kernel.terms_harmonic_factor), computed once per pair, and its mirror
+    (algebra.terms_harmonic_factor), computed once per pair, and its mirror
     Q(conj(phi) e_{n,m}) (module docstring)."""
 
     __slots__ = ("_terms", "_memo")
@@ -242,7 +251,7 @@ class _Projection:
     def __call__(self, n: int, m: int) -> Half:
         half = self._memo.get((n, m))
         if half is None:
-            half = self._memo[n, m] = kernel.terms_harmonic_factor(self._terms, n, m)
+            half = self._memo[n, m] = terms_harmonic_factor(self._terms, n, m)
         return half
 
     def mirror(self, n: int, m: int) -> Half:
@@ -319,6 +328,40 @@ def _inverse_weight(key: int) -> int:
     return -weight if key & 1 else weight
 
 
+def factor_form(f: Column, g: Column) -> GaussianRational:
+    """<g, f>_G: the sum of +-conj(f[k]) * g[k] / (|d|+1) over shared keys k.
+
+    The key 2d holds a coefficient of h_d in the first half (sign +), 2d + 1
+    in the second (sign -), and <h_d, h_d> = 1/(|d|+1), d = k >> 1.  The
+    products are summed as one running fraction of ints, equal denominators
+    added and others cross-multiplied, and normalized once; the normalized
+    triple is unique, so the result is the same as summing scalars.
+    """
+    re = im = 0
+    den = 1
+    for key, cf in f.items():
+        cg = g.get(key)
+        if cg is None:
+            continue
+        a, b, c, e = cf._a, cf._b, cg._a, cg._b
+        # (a - bi)(c + ei)
+        x = a * c + b * e
+        y = a * e - b * c
+        if key & 1:
+            x, y = -x, -y
+        d = cf._d * cg._d * (abs(key >> 1) + 1)
+        if d == den:
+            re += x
+            im += y
+        else:
+            re = re * d + x * den
+            im = im * d + y * den
+            den *= d
+    if re == 0 and im == 0:
+        return GR_ZERO
+    return _norm(re, im, den)
+
+
 def _fill(
     rows: Sequence[Iterable],
     columns: Sequence[Iterable],
@@ -369,12 +412,12 @@ class _FactoredForm:
         return columns, self._rows.columns(pairs)
 
     def matrix(self, order: int) -> ExactMatrix:
-        """The matrix with entries <C_j, R_i>_G (_kernel.factor_form)."""
+        """The matrix with entries <C_j, R_i>_G (factor_form)."""
         columns, rows = self.factors(order)
         return _fill(
             rows,
             columns,
-            lambda i, j: kernel.factor_form(rows[i], columns[j]),
+            lambda i, j: factor_form(rows[i], columns[j]),
             hermitian=self._rows is self._columns,
         )
 
@@ -420,7 +463,7 @@ class SelfcommAssembly(_FactoredForm):
         for s in range(self._checked, len(chosen)):
             column = columns[s]
             for t in range(s + 1):
-                if not kernel.factor_form(columns[t], column).is_zero:
+                if not factor_form(columns[t], column).is_zero:
                     return False
         self._checked = len(chosen)
         return True
@@ -461,10 +504,8 @@ class CommutatorAssembly(_FactoredForm):
         for pair in pairs:
             h_phi = _harmonic_terms(q_phi(*pair))
             h_psi = _harmonic_terms(q_psi(*pair))
-            terms = kernel.terms_apply(q_psi._terms, h_phi)
-            kernel.terms_sub_scaled(
-                terms, kernel.terms_apply(q_phi._terms, h_psi), kernel.GR_ONE
-            )
+            terms = terms_apply(q_psi._terms, h_phi)
+            terms_sub_scaled(terms, terms_apply(q_phi._terms, h_psi), GR_ONE)
             out.append(Element._wrap(terms))
         return out
 

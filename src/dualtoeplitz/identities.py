@@ -374,9 +374,8 @@ def equal_diff_defect_at_zero(n1: int, m1: int, n2: int, m2: int, alpha) -> Frac
     if n1 == m1:
         raise ValueError("needs a nonzero exponent difference")
     a = as_scalar(alpha)
-    one = GaussianRational(1)
-    w1 = one._mul_int_ratio(1, n1 + 1) + a._mul_int_ratio(1, n2 + 1)
-    w2 = one._mul_int_ratio(1, m1 + 1) + a._mul_int_ratio(1, m2 + 1)
+    w1 = a / (n2 + 1) + Fraction(1, n1 + 1)
+    w2 = a / (m2 + 1) + Fraction(1, m1 + 1)
     return (m1 - n1) * (w1.abs2() + w2.abs2())
 
 

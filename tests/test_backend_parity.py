@@ -1,4 +1,4 @@
-"""The arithmetic kernel's scalar normalization and its reported backend name."""
+"""Scalar normalization in algebra, and the reported backend name."""
 
 import math
 import random
@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualtoeplitz import _kernel as kernel
+from dualtoeplitz import algebra
 
 
 def triple(x):
@@ -15,17 +15,17 @@ def triple(x):
 
 def seeded_scalars(rng):
     values = [
-        kernel.GaussianRational(0),
-        kernel.GaussianRational(1),
-        kernel.GaussianRational(-1),
-        kernel.GaussianRational(0, 1),
-        kernel.GaussianRational(Fraction(1, 2), Fraction(-1, 3)),
-        kernel.GaussianRational(10**30, -(10**31)),
-        kernel.GaussianRational(Fraction(10**25, 7), Fraction(3, 10**20)),
+        algebra.GaussianRational(0),
+        algebra.GaussianRational(1),
+        algebra.GaussianRational(-1),
+        algebra.GaussianRational(0, 1),
+        algebra.GaussianRational(Fraction(1, 2), Fraction(-1, 3)),
+        algebra.GaussianRational(10**30, -(10**31)),
+        algebra.GaussianRational(Fraction(10**25, 7), Fraction(3, 10**20)),
     ]
     for _ in range(20):
         values.append(
-            kernel.GaussianRational(
+            algebra.GaussianRational(
                 Fraction(rng.randint(-50, 50), rng.randint(1, 30)),
                 Fraction(rng.randint(-50, 50), rng.randint(1, 30)),
             )
@@ -44,12 +44,12 @@ class TestNormalization:
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            kernel.GaussianRational(0.5)
+            algebra.GaussianRational(0.5)
 
     def test_singletons(self):
-        assert triple(kernel.GR_ZERO) == (0, 0, 1)
-        assert triple(kernel.GR_ONE) == (1, 0, 1)
-        assert kernel.GR_ZERO.is_zero and kernel.GR_ONE.is_real
+        assert triple(algebra.GR_ZERO) == (0, 0, 1)
+        assert triple(algebra.GR_ONE) == (1, 0, 1)
+        assert algebra.GR_ZERO.is_zero and algebra.GR_ONE.is_real
 
 
 class TestBackendSelection:

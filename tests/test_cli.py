@@ -788,6 +788,33 @@ class TestRunInProcess:
         assert self.code("rank", "--symbol", "z", "--N-max", "two") == 2
         assert "invalid int value: 'two'" in capsys.readouterr().err
 
+    def test_value_error_inside_a_command_is_a_crash(self, capsys, monkeypatch):
+        # only a usage error or a symbol that does not parse exits 2; any
+        # other exception, a ValueError too, is a crash with its traceback
+        def refuse(form):
+            raise ValueError("psd_test decides trace-zero forms only")
+
+        monkeypatch.setattr("dualtoeplitz.linalg.psd_test", refuse)
+        argv = ("matrix", "selfcomm", "--symbol", "z^2 zb", "--N", "3")
+        assert self.code(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert "ValueError: psd_test decides trace-zero forms only" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--symbol", "--symbol2"])
+    def test_malformed_symbol_is_a_usage_error(self, capsys, flag):
+        symbols = {"--symbol": "z", "--symbol2": "zb"}
+        symbols[flag] += " +"
+        argv = ["inner-product"]
+        for item in symbols.items():
+            argv += item
+        assert self.code(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expected a term (at position ")
+        assert "Traceback" not in captured.err
+
     def test_crash(self, capsys, monkeypatch):
         from dualtoeplitz import verify
 
@@ -862,7 +889,6 @@ class TestLoadSet:
         )
         assert proc.returncode == 0, proc.stderr
         assert self.submodules(modules) == {
-            "dualtoeplitz._kernel",
             "dualtoeplitz.algebra",
             "dualtoeplitz.symbols",
         }
@@ -928,6 +954,12 @@ class TestLoadSet:
         assert json.loads(proc.stdout)["result"]["passed"] is True
         pool = ("multiprocessing", "pickle", "concurrent") + self.NEVER
         assert not {name for name in modules if name.split(".")[0] in pool}
+
+    def test_every_public_name_comes_from_the_module_that_defines_it(self):
+        for name, module in dualtoeplitz._LAZY.items():
+            defined = getattr(getattr(dualtoeplitz, name), "__module__", None)
+            if defined is not None:
+                assert defined == f"dualtoeplitz.{module}", name
 
     def test_every_public_name_resolves(self):
         probe = textwrap.dedent(

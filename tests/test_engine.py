@@ -42,13 +42,13 @@ from dualtoeplitz import (
 )
 from dualtoeplitz import ExactMatrix, cli
 from dualtoeplitz import test_vector as probe_vector
-from dualtoeplitz import _kernel as kernel
 from dualtoeplitz.engine import (
     _HarmonicFactor,
     _Projection,
     _fill,
     combination,
     exponent_pairs,
+    factor_form,
 )
 from dualtoeplitz.linalg import Echelon, factored_rank
 
@@ -1030,7 +1030,7 @@ class TestSparseFill:
         a = _fill(
             columns,
             columns,
-            lambda i, j: kernel.factor_form(columns[i], columns[j]),
+            lambda i, j: factor_form(columns[i], columns[j]),
             hermitian=True,
         )
         assert a.entries == [{1: one}, {0: one, 1: one}]
@@ -1134,15 +1134,15 @@ class TestClosedFormColumns:
         # the conjugate symbols' halves are mirrors, so order N takes N^2
         # closed forms for the form's factor and 2 N^2 for the commutator's
         # columns and rows together
-        kernel = importlib.import_module("dualtoeplitz._kernel")
-        closed_form = kernel.terms_harmonic_factor
+        engine = importlib.import_module("dualtoeplitz.engine")
+        closed_form = engine.terms_harmonic_factor
         calls = []
 
         def counted(phi, n, m):
             calls.append((n, m))
             return closed_form(phi, n, m)
 
-        monkeypatch.setattr(kernel, "terms_harmonic_factor", counted)
+        monkeypatch.setattr(engine, "terms_harmonic_factor", counted)
         phi = parse_symbol(WIDE_TOP)
         psi = parse_symbol("z^2 zb + z^3")
         for order in (1, 4, 7):

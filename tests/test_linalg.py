@@ -81,6 +81,20 @@ class TestExactMatrix:
         assert not matrix([[1, (0, 1)], [(0, 1), 2]]).is_hermitian()
         assert not matrix([[(1, 1)]]).is_hermitian()
 
+    def test_shared_entry_objects_and_missing_mirrors(self):
+        # the assembled forms share one object between (i, j) and (j, i);
+        # the dense strategies never do, so these cases are pinned here
+        complex_entry, real_entry = gr(1, 2), gr(3)
+        shared = ExactMatrix.sparse(
+            2, 2, [{1: complex_entry}, {0: complex_entry}]
+        )
+        assert not shared.is_hermitian()
+        shared = ExactMatrix.sparse(2, 2, [{1: real_entry}, {0: real_entry}])
+        assert shared.is_hermitian()
+        lonely = ExactMatrix.sparse(2, 2, [{1: real_entry}, {}])
+        assert not lonely.is_hermitian()
+        assert not is_antisymmetric(lonely)
+
     def test_first_nonzero(self):
         a = matrix([[0] * 2] * 2)
         assert a.first_nonzero() is None
